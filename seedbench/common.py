@@ -338,27 +338,67 @@ def open_quietly(path: Path):
         return JournaledDatabase.open(path)
 
 
+def durable_copy(source: Path, target: Path) -> None:
+    """Copy a journal and fsync the copy before the program opens it.
+
+    A journal left by an earlier run is already on disk. Without the
+    fsync, the program's first fsync on the copy would also write back
+    every page the copy just dirtied, which is the copy's cost, not the
+    program's.
+    """
+    shutil.copyfile(source, target)
+    with open(target, "rb") as handle:
+        os.fsync(handle.fileno())
+
+
 def timed_reopen(template: Path, copy: Path, probe: str) -> float:
     """Open a fresh copy of *template*; seconds to the first pinned read.
 
     Always a fresh copy: publishing after a reopen appends a version
-    record, so reopening one file twice would time two journals.
+    record, so reopening one file twice would time two journals. Each
+    reopen runs in a fresh interpreter, as a restarted server does; the
+    same reopen ran at one of two speeds about 50% apart depending on
+    the process, so a median over processes is steadier than a median
+    within one.
     """
+    import subprocess
+
+    durable_copy(template, copy)
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "reopen",
+         str(copy), probe],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        cwd=ROOT,
+        timeout=120,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"timed reopen of {copy} failed: {proc.stdout}{proc.stderr}"
+        )
+    return float(proc.stdout.split()[-1])
+
+
+def _reopen_main(path: str, probe: str) -> int:
+    """Child side of :func:`timed_reopen`: print the seconds it took."""
     import warnings
 
+    ensure_program()
     from repro.multiuser.server import SeedServer
 
-    shutil.copyfile(template, copy)
     gc.collect()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         start = time.perf_counter()
-        server = SeedServer.open(copy)
+        server = SeedServer.open(path)
         found = server.snapshot().find(probe)
         elapsed = time.perf_counter() - start
     if found is None:
-        raise RuntimeError(f"reopened journal lost {probe}")
-    return elapsed
+        print(f"reopened journal lost {probe}")
+        return 1
+    print(repr(elapsed))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -460,3 +500,9 @@ class Result:
             flush=True,
         )
         return 0 if correct and self.failed == 0 else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["reopen"] or len(sys.argv) != 4:
+        raise SystemExit("usage: common.py reopen <journal> <probe name>")
+    sys.exit(_reopen_main(sys.argv[2], sys.argv[3]))

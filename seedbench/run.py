@@ -14,12 +14,12 @@ operation failed.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-import catalog  # noqa: E402
 import common  # noqa: E402
 
 WORKLOADS = ("wire_edit", "bulk_query", "commit_reopen")
@@ -38,6 +38,15 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def expected_metrics(trace: int) -> dict[str, str]:
+    """Metric name -> unit that ``BENCHMARK.json`` names for this mode."""
+    spec = json.loads((common.ROOT / "BENCHMARK.json").read_text())
+    return {
+        metric["name"]: metric["unit"]
+        for metric in spec["per_layer" if trace else "end_to_end"]
+    }
+
+
 def run(args: argparse.Namespace) -> tuple[common.Result, dict]:
     """Dispatch one workload; returns its result and fingerprint."""
     import importlib
@@ -47,13 +56,16 @@ def run(args: argparse.Namespace) -> tuple[common.Result, dict]:
     entry = module.run_traced if args.trace else module.run
     with common.work_dir(args.workload) as work:
         result = entry(args.seed, args.seconds, work, sizes)
-    expected = catalog.PER_LAYER if args.trace else catalog.END_TO_END
+    expected = expected_metrics(args.trace)
     if args.trace:
-        catalog.complete_layers(result.metrics)
-    if set(result.metrics) != set(expected):
+        # a layer the workload leaves idle reports 0 (no calls, no time)
+        for name, unit in expected.items():
+            result.metrics.setdefault(name, (0.0, unit))
+    reported = {name: unit for name, (__, unit) in result.metrics.items()}
+    if reported != expected:
         raise RuntimeError(
-            f"{args.workload} reported {sorted(result.metrics)}, "
-            f"expected {sorted(expected)}"
+            f"{args.workload} reported {sorted(reported.items())}, "
+            f"expected {sorted(expected.items())}"
         )
     result.metrics = {name: result.metrics[name] for name in expected}
     fingerprint = common.fingerprint(

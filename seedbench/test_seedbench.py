@@ -200,17 +200,3 @@ def test_percentile_is_nearest_rank():
     assert common.percentile(samples, 0.9) == 90.0
     assert common.beyond(samples, 0.9) == 10
 
-
-def test_catalog_matches_benchmark_json():
-    import catalog
-
-    assert [(m["name"], m["unit"], m["better"]) for m in BENCHMARK["end_to_end"]] == [
-        (name, unit, better) for name, (unit, better) in catalog.END_TO_END.items()
-    ]
-    assert [(m["name"], m["unit"], m["better"]) for m in BENCHMARK["per_layer"]] == [
-        (name, unit, better)
-        for name, (unit, better, *__) in catalog.PER_LAYER.items()
-    ]
-    for name, (__, __b, workloads, moves) in catalog.PER_LAYER.items():
-        assert set(workloads) <= set(WORKLOADS), name
-        assert set(moves) <= set(catalog.END_TO_END), name

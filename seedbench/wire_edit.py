@@ -9,6 +9,12 @@ Data object plus a ``Read`` relationship to the action, check in. Every
 ``read_every`` cycles the client browses: it pins the published
 snapshot and does ``reads_per_pin`` pinned ``find`` reads.
 
+The served journal is checked (every acknowledged check-in survives a
+reopen, ``repro fsck`` is clean) but not timed: it holds as many cycles
+as the window managed. The timed reopens run on fresh copies of a
+template that holds the set-up image plus exactly ``reopen_cycles``
+cycles per client, replayed in process.
+
 The traced run replays the same seeded cycles in process — no socket,
 cycles alternating between the clients the way the service serializes
 them — with spans around each layer call (see :func:`replay`).
@@ -36,6 +42,7 @@ from common import (
     Tracer,
     child_env,
     child_peak_rss_mb,
+    durable_copy,
     fsck_clean,
     journal_bytes_by_kind,
     timed_reopen,
@@ -56,8 +63,10 @@ class WireSizes:
     clients: int = 2
     read_every: int = 2
     reads_per_pin: int = 12
-    setups: int = 3
-    reopens: int = 7
+    setups: int = 5
+    reopens: int = 11
+    #: cycles per client in the reopen template (op-count bound, not time)
+    reopen_cycles: int = 30
     #: cycles per client in the traced run (op-count bound, not time)
     trace_cycles: int = 50
 
@@ -65,7 +74,8 @@ class WireSizes:
 FLUSH_POLICY = "strict per-commit fsync (repro serve default)"
 DEFAULT = WireSizes()
 TOY = WireSizes(
-    actions=40, data=40, flows=80, setups=1, reopens=1, trace_cycles=4
+    actions=40, data=40, flows=80, setups=1, reopens=1, reopen_cycles=3,
+    trace_cycles=4,
 )
 
 
@@ -283,7 +293,7 @@ def serve_loop(
 ) -> dict:
     """Serve a copy of *template* and run the clients; returns observations."""
     served_path = work / "served.journal"
-    shutil.copyfile(template, served_path)
+    durable_copy(template, served_path)
     before = served_path.stat().st_size
     server = Served(served_path)
     logs = [ClientLog() for __ in range(sizes.clients)]
@@ -408,13 +418,24 @@ def run(
     clean, report = fsck_clean(journal)
     if not clean:
         result.problem(f"fsck of the served journal is not clean:\n{report}")
+    # the served journal grows with every cycle the window managed, so
+    # a faster program would reopen a longer journal: time the reopens
+    # on a template with a fixed number of cycles instead
+    sealed = work / "sealed.journal"
+    replay(
+        template, sealed, seed, sizes, actions, Tracer(False),
+        cycles_per_client=sizes.reopen_cycles,
+    )
     reopen_times = [
-        timed_reopen(journal, work / f"reopen{index}.journal", actions[0])
+        timed_reopen(sealed, work / f"reopen{index}.journal", actions[0])
         for index in range(sizes.reopens)
     ]
     result.metric("ready_s", median(reopen_times), "s")
     result.metric("peak_rss_mb", observed["peak_rss_mb"], "MB")
-    result.note(f"reopen (open -> first pinned read): {reopen_times}")
+    result.note(
+        f"reopen (open -> first pinned read) of {sealed.stat().st_size} "
+        f"bytes, {sizes.clients * sizes.reopen_cycles} check-ins: {reopen_times}"
+    )
     result.note(
         f"acknowledged check-ins: {len(acked)}; journal grew "
         f"{observed['journal_growth']} bytes "
@@ -436,14 +457,16 @@ def replay(
     sizes: WireSizes,
     actions: list[str],
     tracer: Tracer,
+    cycles_per_client: Optional[int] = None,
 ) -> dict:
     """Run the seeded cycles in process, in service order, under *tracer*.
 
-    Each call the service makes for a request is made here directly
-    (check-out, ticket encode/decode, materialize, package build and
-    encode/decode, apply, publish, maintenance every 8 accepted
-    check-ins, pin and pinned finds), plus one probe: building the
-    version view of the version just published.
+    *cycles_per_client* defaults to ``sizes.trace_cycles``. Each call
+    the service makes for a request is made here directly (check-out,
+    ticket encode/decode, materialize, package build and encode/decode,
+    apply, publish, maintenance every 8 accepted check-ins, pin and
+    pinned finds), plus one probe: building the version view of the
+    version just published.
     """
     from repro.multiuser.checkin import (
         build_package,
@@ -461,7 +484,7 @@ def replay(
     from repro.multiuser.server import SeedServer
     from repro.multiuser.service import DEFAULT_MAINTAIN_EVERY
 
-    shutil.copyfile(template, copy)
+    durable_copy(template, copy)
     server = SeedServer.open(copy)
     schema = server.master.schema
     streams = [
@@ -475,7 +498,9 @@ def replay(
     accepted = 0
     ops = {"cycles": 0, "reads": 0, "maintain_runs": 0}
     started = time.perf_counter()
-    for __ in range(sizes.trace_cycles):
+    if cycles_per_client is None:
+        cycles_per_client = sizes.trace_cycles
+    for __ in range(cycles_per_client):
         for client in range(sizes.clients):
             cycle = next(streams[client])
             token = tokens[client]
