@@ -14,15 +14,16 @@ the other 7. So one transaction commit in 15 pays an fsync: the commit
 p90 is the tail of the commits that do not, and the fsync'd ones show
 in the p99.
 
-After the timed loop the journal is flushed and a copy of it must
-reopen to the live master. The reopen template is built apart from the
-loop, so its size does not depend on how many ops the loop managed:
-the set-up template plus the first ``tail_ops`` ops of the same stream,
-committed with no budget. Each timed reopen runs on a fresh copy of
-that template (publishing after a reopen appends an O(master)
-``version`` record, so reopening one file twice would measure two
-different journals), from the open call to the first served pinned
-read.
+The reopen template is built before the loop, apart from it, so its
+size does not depend on how many ops the loop managed: the set-up
+template plus the first ``tail_ops`` ops of the same stream, committed
+with no budget. The window is cut into ``reopens`` equal slices. After
+each slice one timed template build runs, and one timed reopen on a
+fresh copy of the reopen template (publishing after a reopen appends an
+O(master) ``version`` record, so reopening one file twice would measure
+two different journals), from the open call to the first served pinned
+read. After the loop the journal is flushed and a copy of it must
+reopen to the live master.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import fmean
 from typing import Iterator, Optional
 
 from common import (
@@ -49,7 +51,7 @@ from common import (
     peak_rss_mb,
     timed_reopen,
 )
-from wire_edit import Cycle, edit_local, setup
+from wire_edit import Cycle, edit_local, rebuild_seconds, setup
 
 #: span factory of the untimed paths (a disabled tracer's no-op spans)
 NO_SPAN = Tracer(False).span
@@ -76,9 +78,10 @@ class ReopenSizes:
     budget_slack: int = 3_000_000
     #: deltas in the reopen template, committed with no budget on the
     #: set-up image
-    tail_ops: int = 1500
-    setups: int = 5
-    reopens: int = 5
+    tail_ops: int = 1000
+    #: slices of the window; after each, one timed template build and
+    #: one timed reopen
+    reopens: int = 8
     #: ops in each traced-run pass (op-count bound, not time)
     trace_ops: int = 8000
 
@@ -86,7 +89,7 @@ class ReopenSizes:
 DEFAULT = ReopenSizes()
 TOY = ReopenSizes(
     actions=40, data=40, flows=80, pool=8, values_per_txn=4,
-    budget_slack=20_000, tail_ops=60, setups=1, reopens=1, trace_ops=120,
+    budget_slack=20_000, tail_ops=60, reopens=1, trace_ops=120,
 )
 
 
@@ -209,29 +212,49 @@ def run(seed: int, seconds: float, work: Path, sizes: ReopenSizes = DEFAULT) -> 
     from repro.core.storage import database_to_dict
 
     result = Result()
-    template, actions = setup(work, seed, sizes, result)
+    template, actions = setup(work, seed, sizes)
+    setup_times: list[float] = []
+    failures: list[str] = []
+    sealed = work / "sealed.journal"
+    expected = reopen_template(template, sealed, seed, sizes, actions)
+    sealed_copy = work / "sealed-copy.journal"
+    shutil.copyfile(sealed, sealed_copy)
+    failures.extend(verify_reopen(sealed_copy, expected))
+    # the loop's collections should not traverse the check's image
+    del expected
+
     session = working_copy(template, work / "live.journal", sizes)
     stream = ops(seed, sizes, actions)
     timings = Timings()
-    failures: list[str] = []
     done = 0
     flushes = session.journal.group_flushes
     size = session.path.stat().st_size
     compactions = 0
+    elapsed = 0.0
+    reopen_times: list[float] = []
     gc.collect()
-    deadline = time.perf_counter() + seconds
-    started = time.perf_counter()
-    while time.perf_counter() < deadline:
-        op = next(stream)
-        try:
-            session.apply(op, timings, NO_SPAN)
-        except SeedError as exc:
-            failures.append(f"{op.kind} {op.actions}: {exc}")
-        done += 1
-        now = session.path.stat().st_size
-        compactions += now < size
-        size = now
-    elapsed = time.perf_counter() - started
+    # the window is cut into one slice per timed reopen: the loop pauses
+    # for one timed template build and one reopen of the template in a
+    # fresh interpreter, so the commits, the builds and the reopens all
+    # sample the same stretch of the host's changing speed
+    for index in range(sizes.reopens):
+        deadline = time.perf_counter() + seconds / sizes.reopens
+        started = time.perf_counter()
+        while time.perf_counter() < deadline:
+            op = next(stream)
+            try:
+                session.apply(op, timings, NO_SPAN)
+            except SeedError as exc:
+                failures.append(f"{op.kind} {op.actions}: {exc}")
+            done += 1
+            now = session.path.stat().st_size
+            compactions += now < size
+            size = now
+        elapsed += time.perf_counter() - started
+        setup_times.append(rebuild_seconds(work, seed, sizes))
+        reopen_times.append(
+            timed_reopen(sealed, work / f"reopen{index}.journal", actions[0])
+        )
     flushes = session.journal.group_flushes - flushes
     # every committed op of the loop is durable once flushed: a copy of
     # the live journal reopens to the live master
@@ -239,29 +262,21 @@ def run(seed: int, seconds: float, work: Path, sizes: ReopenSizes = DEFAULT) -> 
     live_copy = work / "live-copy.journal"
     shutil.copyfile(session.path, live_copy)
     failures.extend(verify_reopen(live_copy, database_to_dict(session.master)))
-    sealed = work / "sealed.journal"
-    expected = reopen_template(template, sealed, seed, sizes, actions)
-    sealed_copy = work / "sealed-copy.journal"
-    shutil.copyfile(sealed, sealed_copy)
-    failures.extend(verify_reopen(sealed_copy, expected))
-    reopen_times = [
-        timed_reopen(sealed, work / f"reopen{index}.journal", actions[0])
-        for index in range(sizes.reopens)
-    ]
     result.attempted = done + sizes.tail_ops
     result.failed = len(failures)
     for problem in failures[:10]:
         result.problem(problem)
     commits = timings.count("commit") + timings.count("check_in")
     result.metric("ops_per_s", commits / elapsed, "1/s")
-    result.metric("main_op_p50_ms", timings.pct_ms("commit", 0.5), "ms")
+    result.metric("main_op_p50_ms", timings.p50_ms("commit"), "ms")
     result.metric("main_op_p90_ms", timings.pct_ms("commit", 0.9), "ms")
     # the check-in's tail is mostly fsync latency, which moved 1.4-4.6 ms
     # between runs on a 2-vCPU container; it stays in the log, the
     # check-out is gated
-    result.metric("side_op_p50_ms", timings.pct_ms("check_out", 0.5), "ms")
+    result.metric("side_op_p50_ms", timings.p50_ms("check_out"), "ms")
     result.metric("side_op_p90_ms", timings.pct_ms("check_out", 0.9), "ms")
-    result.metric("ready_s", median(reopen_times), "s")
+    result.metric("setup_s", median(setup_times), "s")
+    result.metric("ready_s", fmean(reopen_times), "s")
     result.metric("peak_rss_mb", peak_rss_mb(), "MB")
     for name in ("commit", "check_out", "check_in"):
         result.note(timings.describe(name, (0.5, 0.9, 0.99)))
@@ -270,6 +285,7 @@ def run(seed: int, seconds: float, work: Path, sizes: ReopenSizes = DEFAULT) -> 
         f"{compactions} compactions; "
         f"reopen template {sealed.stat().st_size} bytes"
     )
+    result.note(f"setup: {len(setup_times)} template builds {setup_times}")
     result.note(f"reopen (open -> first pinned read): {reopen_times}")
     result.note(f"error_rate: {result.failed / max(1, result.attempted)}")
     return result
@@ -370,7 +386,7 @@ def reopen_layers(sealed: Path, work: Path, probe: str, tracer: Tracer) -> dict:
 
 def run_traced(seed: int, seconds: float, work: Path, sizes: ReopenSizes = DEFAULT) -> Result:
     result = Result()
-    template, actions = setup(work, seed, sizes, None)
+    template, actions = setup(work, seed, sizes)
     plain = traced_pass(template, work, "plain", seed, sizes, actions, Tracer(False))
     tracer = Tracer(True)
     gc_watch = GcWatch()

@@ -87,6 +87,32 @@ def median(samples: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
+#: samples per chunk of :func:`chunked_median`: enough for a steady
+#: median, few enough that most chunks fall within one stretch of
+#: steady host speed
+CHUNK = 100
+
+
+def chunked_median(samples: list[float]) -> float:
+    """Mean of the medians of consecutive chunks of about ``CHUNK`` samples.
+
+    On a shared 2-vCPU virtual machine the same pure-Python work ran at
+    speeds up to 1.7x apart, switching every few seconds. A median
+    pooled over a whole run lands on whichever speed held more of the
+    run's samples, so between runs it jumped from one speed to the
+    other. A chunk of consecutive samples mostly falls within one
+    stretch of steady speed, and the mean of the chunk medians moves
+    only in proportion to the time spent at each speed. With fewer than
+    two chunks' worth it is the plain median.
+    """
+    chunks = max(1, len(samples) // CHUNK)
+    size = len(samples) / chunks
+    return sum(
+        median(samples[round(index * size):round((index + 1) * size)])
+        for index in range(chunks)
+    ) / chunks
+
+
 def beyond(samples: list[float], q: float) -> int:
     """Samples strictly above the ``q`` percentile rank (tail support)."""
     return len(samples) - max(1, math.ceil(q * len(samples)))
@@ -106,6 +132,14 @@ class Timings:
 
     def pct_ms(self, name: str, q: float) -> float:
         return percentile(self.samples[name], q) * 1000.0
+
+    def p50_ms(self, name: str) -> float:
+        """The gated median: :func:`chunked_median` in the order added.
+
+        That is completion order; on ``wire_edit`` one client's samples
+        follow the other's.
+        """
+        return chunked_median(self.samples[name]) * 1000.0
 
     def describe(self, name: str, qs: tuple[float, ...]) -> str:
         """``name: n=.. p50=..ms (k beyond) ...`` for the human log."""

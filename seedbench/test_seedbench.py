@@ -95,7 +95,7 @@ def truncate_before_last(path: Path, kind: str, target: Path) -> None:
 
 def test_wire_edit_check_fails_on_journal_truncated_before_last_checkin(tmp_path):
     sizes = wire_edit.TOY
-    template, actions = wire_edit.setup(tmp_path, 3, sizes, None)
+    template, actions = wire_edit.setup(tmp_path, 3, sizes)
     observed = wire_edit.serve_loop(
         template, tmp_path, 3, sizes, actions, cycles_per_client=3
     )
@@ -111,7 +111,7 @@ def test_wire_edit_check_fails_on_journal_truncated_before_last_checkin(tmp_path
 
 def test_commit_reopen_check_fails_on_journal_truncated_before_last_checkin(tmp_path):
     sizes = commit_reopen.TOY
-    template, actions = wire_edit.setup(tmp_path, 3, sizes, None)
+    template, actions = wire_edit.setup(tmp_path, 3, sizes)
     sealed = tmp_path / "sealed.journal"
     expected = commit_reopen.reopen_template(template, sealed, 3, sizes, actions)
     assert commit_reopen.verify_reopen(sealed, expected) == []
@@ -142,7 +142,7 @@ def test_bulk_query_check_fails_on_tampered_oracle_row():
 
 def test_wire_edit_traced_and_untraced_replays_match(tmp_path):
     sizes = wire_edit.TOY
-    template, actions = wire_edit.setup(tmp_path, 5, sizes, None)
+    template, actions = wire_edit.setup(tmp_path, 5, sizes)
     plain = wire_edit.replay(
         template, tmp_path / "a.journal", 5, sizes, actions, Tracer(False)
     )
@@ -160,7 +160,7 @@ def test_wire_edit_traced_and_untraced_replays_match(tmp_path):
 
 def test_commit_reopen_traced_and_untraced_passes_match(tmp_path):
     sizes = commit_reopen.TOY
-    template, actions = wire_edit.setup(tmp_path, 5, sizes, None)
+    template, actions = wire_edit.setup(tmp_path, 5, sizes)
     plain = commit_reopen.traced_pass(
         template, tmp_path, "plain", 5, sizes, actions, Tracer(False)
     )

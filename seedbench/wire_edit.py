@@ -6,14 +6,18 @@ fsync, default maintenance every 8 check-ins) serves it; two closed-loop
 ``ServiceClient`` threads each own a disjoint partition of the actions.
 One edit cycle: check out one Action, change its description, create a
 Data object plus a ``Read`` relationship to the action, check in. Every
-``read_every`` cycles the client browses: it pins the published
-snapshot and does ``reads_per_pin`` pinned ``find`` reads.
+``read_every`` cycles the client thinks for a seeded time of up to
+``think_s``, then browses: it pins the published snapshot and does
+``reads_per_pin`` pinned ``find`` reads.
 
-The served journal is checked (every acknowledged check-in survives a
-reopen, ``repro fsck`` is clean) but not timed: it holds as many cycles
-as the window managed. The timed reopens run on fresh copies of a
-template that holds the set-up image plus exactly ``reopen_cycles``
-cycles per client, replayed in process.
+The window is cut into ``reopens`` slices. After each slice the clients
+stop, and one timed template build and one timed reopen run while the
+server is idle. The served journal is checked (every acknowledged
+check-in survives a reopen, ``repro fsck`` is clean) but not timed: it
+holds as many cycles as the window managed. The timed reopens run on
+fresh copies of a template that holds the set-up image plus exactly
+``reopen_cycles`` cycles per client, replayed in process before the
+loop.
 
 The traced run replays the same seeded cycles in process — no socket,
 cycles alternating between the clients the way the service serializes
@@ -33,7 +37,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from statistics import fmean
+from typing import Callable, Iterator, Optional
 
 from common import (
     ROOT,
@@ -63,8 +68,13 @@ class WireSizes:
     clients: int = 2
     read_every: int = 2
     reads_per_pin: int = 12
-    setups: int = 5
-    reopens: int = 11
+    #: the longest think time before a browse; drawn uniformly from the
+    #: seed, it keeps the two closed loops from locking into one phase,
+    #: which decided how many reads waited behind the other client
+    think_s: float = 0.05
+    #: slices of the window; after each, one timed template build and
+    #: one timed reopen run while the clients are stopped
+    reopens: int = 8
     #: cycles per client in the reopen template (op-count bound, not time)
     reopen_cycles: int = 30
     #: cycles per client in the traced run (op-count bound, not time)
@@ -74,7 +84,7 @@ class WireSizes:
 FLUSH_POLICY = "strict per-commit fsync (repro serve default)"
 DEFAULT = WireSizes()
 TOY = WireSizes(
-    actions=40, data=40, flows=80, setups=1, reopens=1, reopen_cycles=3,
+    actions=40, data=40, flows=80, reopens=1, reopen_cycles=3,
     trace_cycles=4,
 )
 
@@ -86,6 +96,8 @@ class Cycle:
     #: names of the Data objects the cycle creates, each read by the action
     created: list[str]
     reads: list[str] = field(default_factory=list)
+    #: seconds the user thinks before browsing
+    think: float = 0.0
 
 
 def partition(actions: list[str], client: int, clients: int) -> list[str]:
@@ -109,6 +121,7 @@ def cycles(
             cycle.reads = [
                 rng.choice(actions) for __ in range(sizes.reads_per_pin)
             ]
+            cycle.think = rng.random() * sizes.think_s
         yield cycle
         index += 1
 
@@ -152,21 +165,36 @@ def build_template(path: Path, seed: int, sizes: WireSizes) -> list[str]:
     return list(spec.action_names)
 
 
-def setup(work: Path, seed: int, sizes: WireSizes, result: Optional[Result]):
-    """Build the template ``sizes.setups`` times; median is ``setup_s``."""
-    times = []
-    actions: list[str] = []
+def setup(
+    work: Path, seed: int, sizes: WireSizes
+) -> tuple[Path, list[str]]:
+    """Build the template journal under *work*; returns it and the actions."""
     template = work / "template.journal"
-    for attempt in range(sizes.setups):
-        path = work / f"setup{attempt}.journal"
-        start = time.perf_counter()
-        actions = build_template(path, seed, sizes)
-        times.append(time.perf_counter() - start)
-        shutil.move(path, template)
-    if result is not None:
-        result.metric("setup_s", median(times), "s")
-        result.note(f"setup: {len(times)} template builds {times}")
-    return template, actions
+    return template, build_template(template, seed, sizes)
+
+
+def rebuild_seconds(work: Path, seed: int, sizes: WireSizes) -> float:
+    """Seconds to build a throwaway template: one ``setup_s`` sample.
+
+    The build runs in a fresh interpreter, as a first set-up does.
+    Inside the benchmark process it would also pay for collections that
+    traverse the live session's heap, which grows with the ops the
+    loop managed.
+    """
+    path = work / "rebuild.journal"
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "build", str(path),
+         str(seed), str(sizes.actions), str(sizes.data), str(sizes.flows)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        cwd=ROOT,
+        timeout=120,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"template build failed: {proc.stdout}{proc.stderr}")
+    path.unlink()
+    return float(proc.stdout.split()[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +289,7 @@ def run_client(
                     wire.abandon()
                 continue
             if cycle.reads:
+                time.sleep(cycle.think)
                 browse = began = time.perf_counter()
                 wire.pin()
                 log.timings.add("pin", time.perf_counter() - began)
@@ -281,6 +310,46 @@ def run_client(
         wire.disconnect()
 
 
+def run_clients(
+    server: Served,
+    sizes: WireSizes,
+    streams: list[Iterator[Cycle]],
+    logs: list[ClientLog],
+    stop: "threading.Event | int",
+    seconds: Optional[float] = None,
+) -> float:
+    """Run every client until *stop*; returns the seconds they ran.
+
+    With *seconds*, *stop* is an event set once that time has passed;
+    otherwise it is the number of cycles each client runs.
+    """
+    gate = threading.Barrier(sizes.clients + 1)
+    threads = [
+        threading.Thread(
+            target=run_client,
+            args=(
+                server.host, server.port, client, streams[client], stop,
+                gate, logs[client],
+            ),
+            name=f"wire-client{client}",
+        )
+        for client in range(sizes.clients)
+    ]
+    for thread in threads:
+        thread.start()
+    gate.wait(timeout=120)
+    started = time.perf_counter()
+    if seconds is not None:
+        time.sleep(seconds)
+        stop.set()
+    for thread in threads:
+        thread.join(timeout=300)
+    elapsed = time.perf_counter() - started
+    if any(thread.is_alive() for thread in threads):
+        raise RuntimeError("wire client thread did not finish")
+    return elapsed
+
+
 def serve_loop(
     template: Path,
     work: Path,
@@ -289,44 +358,38 @@ def serve_loop(
     actions: list[str],
     *,
     seconds: Optional[float] = None,
+    between: Optional[Callable[[int], None]] = None,
     cycles_per_client: Optional[int] = None,
 ) -> dict:
-    """Serve a copy of *template* and run the clients; returns observations."""
+    """Serve a copy of *template* and run the clients; returns observations.
+
+    With *seconds*, the window is cut into ``sizes.reopens`` equal
+    slices. The clients stop after each slice, and ``between(index)``
+    runs while the server is idle, so that the timed work it does
+    samples the same stretch of the host's changing speed as the
+    loop. With *cycles_per_client*, each client runs that many cycles
+    in one go.
+    """
     served_path = work / "served.journal"
     durable_copy(template, served_path)
     before = served_path.stat().st_size
     server = Served(served_path)
     logs = [ClientLog() for __ in range(sizes.clients)]
+    streams = [
+        cycles(seed, client, sizes, actions) for client in range(sizes.clients)
+    ]
     try:
-        stop_event = threading.Event()
-        stop: "threading.Event | int" = (
-            stop_event if cycles_per_client is None else cycles_per_client
-        )
-        gate = threading.Barrier(sizes.clients + 1)
-        threads = [
-            threading.Thread(
-                target=run_client,
-                args=(
-                    server.host, server.port, client,
-                    cycles(seed, client, sizes, actions), stop, gate,
-                    logs[client],
-                ),
-                name=f"wire-client{client}",
-            )
-            for client in range(sizes.clients)
-        ]
-        for thread in threads:
-            thread.start()
-        gate.wait()
-        started = time.perf_counter()
-        if seconds is not None:
-            time.sleep(seconds)
-            stop_event.set()
-        for thread in threads:
-            thread.join(timeout=300)
-        elapsed = time.perf_counter() - started
-        if any(thread.is_alive() for thread in threads):
-            raise RuntimeError("wire client thread did not finish")
+        if seconds is None:
+            elapsed = run_clients(server, sizes, streams, logs, cycles_per_client)
+        else:
+            elapsed = 0.0
+            for index in range(sizes.reopens):
+                elapsed += run_clients(
+                    server, sizes, streams, logs, threading.Event(),
+                    seconds / sizes.reopens,
+                )
+                if between is not None:
+                    between(index)
         peak = child_peak_rss_mb(server.proc.pid)
         # every acknowledged check-in is fsync'd before its reply: the
         # file copied now is what a crash right here would leave
@@ -388,9 +451,26 @@ def run(
 ) -> Result:
     """The untraced end-to-end run."""
     result = Result()
-    template, actions = setup(work, seed, sizes, result)
+    template, actions = setup(work, seed, sizes)
+    setup_times: list[float] = []
+    # the served journal grows with every cycle the window managed, so
+    # a faster program would reopen a longer journal: time the reopens
+    # on a template with a fixed number of cycles instead
+    sealed = work / "sealed.journal"
+    replay(
+        template, sealed, seed, sizes, actions, Tracer(False),
+        cycles_per_client=sizes.reopen_cycles,
+    )
+    reopen_times: list[float] = []
+
+    def between(index: int) -> None:
+        setup_times.append(rebuild_seconds(work, seed, sizes))
+        reopen_times.append(
+            timed_reopen(sealed, work / f"reopen{index}.journal", actions[0])
+        )
+
     observed = serve_loop(
-        template, work, seed, sizes, actions, seconds=seconds
+        template, work, seed, sizes, actions, seconds=seconds, between=between
     )
     timings: Timings = observed["timings"]
     logs: list[ClientLog] = observed["logs"]
@@ -402,15 +482,23 @@ def run(
     for log in logs:
         for error in log.errors[:5]:
             result.problem(error)
+    result.metric("setup_s", median(setup_times), "s")
     result.metric(
         "ops_per_s", sum(log.cycles for log in logs) / observed["elapsed"], "1/s"
     )
-    result.metric("main_op_p50_ms", timings.pct_ms("check_in", 0.5), "ms")
+    result.metric("main_op_p50_ms", timings.p50_ms("check_in"), "ms")
     result.metric("main_op_p90_ms", timings.pct_ms("check_in", 0.9), "ms")
-    result.metric("side_op_p50_ms", timings.pct_ms("browse", 0.5), "ms")
-    result.metric("side_op_p90_ms", timings.pct_ms("browse", 0.9), "ms")
+    result.metric("side_op_p50_ms", timings.p50_ms("read"), "ms")
+    result.metric("side_op_p90_ms", timings.pct_ms("read", 0.9), "ms")
+    result.metric("ready_s", fmean(reopen_times), "s")
+    result.metric("peak_rss_mb", observed["peak_rss_mb"], "MB")
     for name in ("check_in", "check_out", "browse", "pin", "read"):
         result.note(timings.describe(name, (0.5, 0.9, 0.99)))
+    result.note(f"setup: {len(setup_times)} template builds {setup_times}")
+    result.note(
+        f"reopen (open -> first pinned read) of {sealed.stat().st_size} "
+        f"bytes, {sizes.clients * sizes.reopen_cycles} check-ins: {reopen_times}"
+    )
 
     journal: Path = observed["journal"]
     for problem in verify_acked(journal, acked):
@@ -418,24 +506,6 @@ def run(
     clean, report = fsck_clean(journal)
     if not clean:
         result.problem(f"fsck of the served journal is not clean:\n{report}")
-    # the served journal grows with every cycle the window managed, so
-    # a faster program would reopen a longer journal: time the reopens
-    # on a template with a fixed number of cycles instead
-    sealed = work / "sealed.journal"
-    replay(
-        template, sealed, seed, sizes, actions, Tracer(False),
-        cycles_per_client=sizes.reopen_cycles,
-    )
-    reopen_times = [
-        timed_reopen(sealed, work / f"reopen{index}.journal", actions[0])
-        for index in range(sizes.reopens)
-    ]
-    result.metric("ready_s", median(reopen_times), "s")
-    result.metric("peak_rss_mb", observed["peak_rss_mb"], "MB")
-    result.note(
-        f"reopen (open -> first pinned read) of {sealed.stat().st_size} "
-        f"bytes, {sizes.clients * sizes.reopen_cycles} check-ins: {reopen_times}"
-    )
     result.note(
         f"acknowledged check-ins: {len(acked)}; journal grew "
         f"{observed['journal_growth']} bytes "
@@ -570,7 +640,7 @@ def run_traced(
     from common import GcWatch
 
     result = Result()
-    template, actions = setup(work, seed, sizes, None)
+    template, actions = setup(work, seed, sizes)
     observed = serve_loop(
         template, work, seed, sizes, actions,
         cycles_per_client=sizes.trace_cycles,
@@ -682,3 +752,27 @@ def _unit(name: str) -> str:
     if name.endswith("_pct"):
         return "%"
     return "count"
+
+
+if __name__ == "__main__":
+    # ``wire_edit.py build <journal> <seed> <actions> <data> <flows>``: the
+    # child side of rebuild_seconds; prints the seconds the build took
+    if sys.argv[1:2] != ["build"] or len(sys.argv) != 7:
+        raise SystemExit(
+            "usage: wire_edit.py build <journal> <seed> <actions> <data> <flows>"
+        )
+    from common import ensure_program
+
+    ensure_program()
+    # imported before the clock starts, as in a process that set up before
+    import repro.spades  # noqa: F401
+    import repro.workloads  # noqa: F401
+    from repro.core.storage import JournaledDatabase  # noqa: F401
+
+    built = WireSizes(
+        actions=int(sys.argv[4]), data=int(sys.argv[5]), flows=int(sys.argv[6])
+    )
+    gc.collect()
+    begun = time.perf_counter()
+    build_template(Path(sys.argv[2]), int(sys.argv[3]), built)
+    print(repr(time.perf_counter() - begun))
