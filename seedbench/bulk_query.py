@@ -32,6 +32,7 @@ from common import (
     median,
     overhead_pct,
     peak_rss_mb,
+    timed_calibration,
 )
 
 FLUSH_POLICY = "none (in memory, no journal)"
@@ -53,9 +54,11 @@ class BulkSizes:
     #: lookups per timed burst (the gated side op); a single lookup's
     #: tail follows GC and the parallel pool winding down after a join
     burst: int = 8
-    #: rounds of the run: each a bulk load, its first join and an equal
+    #: rounds of the run: each a bulk load, its first joins and an equal
     #: slice of the query loop's window
     setups: int = 3
+    #: joins timed for ready_s after each load, one per tag of the pool
+    first_joins: int = 8
     #: serial-vs-default row checks after the timed loop
     serial_checks: int = 6
     #: query steps (one join + its lookups) in each traced-run pass
@@ -65,7 +68,7 @@ class BulkSizes:
 DEFAULT = BulkSizes()
 TOY = BulkSizes(
     notes=3000, docs=300, codes=300, tag_pool=8, prefix_pool=8,
-    setups=1, serial_checks=2, trace_steps=6,
+    setups=1, first_joins=2, serial_checks=2, trace_steps=6,
 )
 
 
@@ -259,41 +262,44 @@ def run(seed: int, seconds: float, work: Path, sizes: BulkSizes = DEFAULT) -> Re
     timings = Timings()
     failures: list[str] = []
 
-    # `setups` rounds, each a fresh bulk_load, its first join (a cold
-    # plan cache) and an equal slice of the window on that database.
-    # setup_s is the median load; ready_s the mean first join, timed
-    # from the end of the load. The load is left out of ready_s: it is
-    # the most memory-bound step of all, and in runs where the host was
-    # slow throughout, it slowed by up to 45% against 7% for the joins.
-    tag, __ = next(stream)
-    loads, readies = [], []
+    # `setups` rounds, each a fresh bulk_load, its first joins (one per
+    # tag of the pool's first `first_joins`, so each plans from a cold
+    # cache) and an equal slice of the window on that database.
+    # setup_s is the median load; ready_s the mean first join. The load
+    # is left out of ready_s: it is the most memory-bound step of all,
+    # and in runs where the host was slow throughout, it slowed by up to
+    # 45% against 7% for the joins.
+    loads, readies, passes = [], [], []
     queries = 0
     elapsed = 0.0
     for __ in range(sizes.setups):
         db = first = None
         gc.collect()
+        passes.append(timed_calibration())
         start = time.perf_counter()
         db = load(population)
-        loaded = time.perf_counter()
-        loads.append(loaded - start)
-        first = join_plan(db, tag).execute(parallel=config)
-        readies.append(time.perf_counter() - loaded)
-        queries += 1
-        problem = check_join(population, tag, names_of(first, "code"))
-        if problem:
-            failures.append(problem)
+        loads.append(time.perf_counter() - start)
+        for tag in population.tag_pool[: sizes.first_joins]:
+            began = time.perf_counter()
+            first = join_plan(db, tag).execute(parallel=config)
+            readies.append(time.perf_counter() - began)
+            queries += 1
+            problem = check_join(population, tag, names_of(first, "code"))
+            if problem:
+                failures.append(problem)
         done, took = query_slice(
             db, population, stream, config, sizes, seconds / sizes.setups,
             timings, failures,
         )
         queries += done
         elapsed += took
+        passes.append(timed_calibration())
     result.metric("setup_s", median(loads), "s")
     result.metric("ready_s", fmean(readies), "s")
     result.note(
         f"bulk_load of {population.items} items: {loads} s "
         f"({population.items / median(loads):.0f} items/s at the median); "
-        f"first join after the load: {readies} s"
+        f"first joins after the loads: {readies} s"
     )
 
     # serial rows must equal default-config rows (outside the timed loop)
@@ -315,6 +321,7 @@ def run(seed: int, seconds: float, work: Path, sizes: BulkSizes = DEFAULT) -> Re
     result.metric("side_op_p50_ms", timings.p50_ms("burst"), "ms")
     result.metric("side_op_p90_ms", timings.pct_ms("burst", 0.9), "ms")
     result.metric("peak_rss_mb", peak_rss_mb(), "MB")
+    result.scale_to_reference(passes)
     for name in ("join", "burst", "lookup"):
         result.note(timings.describe(name, (0.5, 0.9, 0.99)))
     result.note(f"parallel backend: {config.resolved_backend()}")

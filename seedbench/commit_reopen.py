@@ -49,6 +49,7 @@ from common import (
     open_quietly,
     overhead_pct,
     peak_rss_mb,
+    timed_calibration,
     timed_reopen,
 )
 from wire_edit import Cycle, edit_local, rebuild_seconds, setup
@@ -232,11 +233,13 @@ def run(seed: int, seconds: float, work: Path, sizes: ReopenSizes = DEFAULT) -> 
     compactions = 0
     elapsed = 0.0
     reopen_times: list[float] = []
+    passes: list[float] = []
     gc.collect()
     # the window is cut into one slice per timed reopen: the loop pauses
-    # for one timed template build and one reopen of the template in a
-    # fresh interpreter, so the commits, the builds and the reopens all
-    # sample the same stretch of the host's changing speed
+    # for one timed template build, one reopen of the template and one
+    # calibration pass, each in a fresh interpreter, so the commits, the
+    # builds, the reopens and the passes all sample the same stretch of
+    # the host's changing speed
     for index in range(sizes.reopens):
         deadline = time.perf_counter() + seconds / sizes.reopens
         started = time.perf_counter()
@@ -255,6 +258,7 @@ def run(seed: int, seconds: float, work: Path, sizes: ReopenSizes = DEFAULT) -> 
         reopen_times.append(
             timed_reopen(sealed, work / f"reopen{index}.journal", actions[0])
         )
+        passes.append(timed_calibration())
     flushes = session.journal.group_flushes - flushes
     # every committed op of the loop is durable once flushed: a copy of
     # the live journal reopens to the live master
@@ -278,6 +282,7 @@ def run(seed: int, seconds: float, work: Path, sizes: ReopenSizes = DEFAULT) -> 
     result.metric("setup_s", median(setup_times), "s")
     result.metric("ready_s", fmean(reopen_times), "s")
     result.metric("peak_rss_mb", peak_rss_mb(), "MB")
+    result.scale_to_reference(passes)
     for name in ("commit", "check_out", "check_in"):
         result.note(timings.describe(name, (0.5, 0.9, 0.99)))
     result.note(

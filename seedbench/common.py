@@ -436,6 +436,68 @@ def _reopen_main(path: str, probe: str) -> int:
 
 
 # ---------------------------------------------------------------------------
+# host speed
+# ---------------------------------------------------------------------------
+
+#: seconds :func:`calibration_pass` took, at the median, on the machine
+#: the figures are scaled to: a 2-vCPU container, Python 3.11 (GIL)
+REFERENCE_PASS_S = 0.35
+
+
+def calibration_pass() -> float:
+    """Seconds one fixed pure-Python pass takes; it uses none of the program.
+
+    Dicts of small records, lookups through them, a sort and a JSON
+    round trip: the kind of work the program's own Python does.
+    """
+    start = time.perf_counter()
+    index: dict[str, dict[str, Any]] = {}
+    for number in range(40_000):
+        name = f"N{number}"
+        index[name] = {
+            "name": name,
+            "value": number * 7919 % 10007,
+            "next": f"N{(number * 31 + 7) % 40_000}",
+        }
+    total = 0
+    for __ in range(3):
+        for node in index.values():
+            total += index[node["next"]]["value"]
+    ordered = sorted(index.values(), key=lambda node: (node["value"], node["name"]))
+    total += len(json.loads(json.dumps(ordered)))
+    elapsed = time.perf_counter() - start
+    if total <= 0:
+        raise RuntimeError("calibration pass computed nothing")
+    return elapsed
+
+
+def timed_calibration() -> float:
+    """One :func:`calibration_pass` in a fresh interpreter; its seconds.
+
+    A fresh interpreter, so nothing the program left running in the
+    benchmark process can slow the pass and hide its own cost.
+    """
+    import subprocess
+
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "calibrate"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=120,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"calibration failed: {proc.stdout}{proc.stderr}")
+    return float(proc.stdout.split()[-1])
+
+
+def host_factor(passes: list[float]) -> float:
+    """How much slower than the reference machine the host ran: the
+    median calibration pass of the run over :data:`REFERENCE_PASS_S`."""
+    return median(passes) / REFERENCE_PASS_S
+
+
+# ---------------------------------------------------------------------------
 # fingerprint and result
 # ---------------------------------------------------------------------------
 
@@ -503,6 +565,30 @@ class Result:
     def metric(self, name: str, value: float, unit: str) -> None:
         self.metrics[name] = (float(value), unit)
 
+    def scale_to_reference(self, passes: list[float]) -> None:
+        """Rescale every time and rate to the reference machine's speed.
+
+        On a shared host the speed of the same work drifted by up to 2x
+        over minutes, and every figure of a run moved with it. Each
+        figure in seconds or milliseconds is divided by the run's
+        :func:`host_factor`, each rate multiplied by it; the measured
+        value goes to the log.
+        """
+        factor = host_factor(passes)
+        self.note(
+            f"host factor {factor!r} (calibration passes {passes} s, "
+            f"reference {REFERENCE_PASS_S} s)"
+        )
+        for name, (value, unit) in list(self.metrics.items()):
+            if unit in ("s", "ms"):
+                scaled = value / factor
+            elif unit == "1/s":
+                scaled = value * factor
+            else:
+                continue
+            self.note(f"measured {name} = {value!r} {unit}")
+            self.metrics[name] = (scaled, unit)
+
     def problem(self, message: str) -> None:
         self.problems.append(message)
 
@@ -537,6 +623,11 @@ class Result:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["calibrate"]:
+        print(repr(calibration_pass()))
+        sys.exit(0)
     if sys.argv[1:2] != ["reopen"] or len(sys.argv) != 4:
-        raise SystemExit("usage: common.py reopen <journal> <probe name>")
+        raise SystemExit(
+            "usage: common.py reopen <journal> <probe name> | common.py calibrate"
+        )
     sys.exit(_reopen_main(sys.argv[2], sys.argv[3]))

@@ -57,6 +57,7 @@ from common import (
     open_quietly,
     overhead_pct,
     percentile,
+    timed_calibration,
 )
 
 
@@ -462,12 +463,14 @@ def run(
         cycles_per_client=sizes.reopen_cycles,
     )
     reopen_times: list[float] = []
+    passes: list[float] = []
 
     def between(index: int) -> None:
         setup_times.append(rebuild_seconds(work, seed, sizes))
         reopen_times.append(
             timed_reopen(sealed, work / f"reopen{index}.journal", actions[0])
         )
+        passes.append(timed_calibration())
 
     observed = serve_loop(
         template, work, seed, sizes, actions, seconds=seconds, between=between
@@ -492,6 +495,7 @@ def run(
     result.metric("side_op_p90_ms", timings.pct_ms("browse", 0.9), "ms")
     result.metric("ready_s", fmean(reopen_times), "s")
     result.metric("peak_rss_mb", observed["peak_rss_mb"], "MB")
+    result.scale_to_reference(passes)
     for name in ("check_in", "check_out", "browse", "pin", "read"):
         result.note(timings.describe(name, (0.5, 0.9, 0.99)))
     result.note(f"setup: {len(setup_times)} template builds {setup_times}")
