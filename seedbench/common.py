@@ -439,7 +439,7 @@ def _reopen_main(path: str, probe: str) -> int:
 # host speed
 # ---------------------------------------------------------------------------
 
-#: seconds :func:`calibration_pass` took, at the median, on the machine
+#: seconds :func:`calibration_pass` took, on average, on the machine
 #: the figures are scaled to: a 2-vCPU container, Python 3.11 (GIL)
 REFERENCE_PASS_S = 0.35
 
@@ -492,9 +492,14 @@ def timed_calibration() -> float:
 
 
 def host_factor(passes: list[float]) -> float:
-    """How much slower than the reference machine the host ran: the
-    median calibration pass of the run over :data:`REFERENCE_PASS_S`."""
-    return median(passes) / REFERENCE_PASS_S
+    """How much slower than the reference machine the host ran.
+
+    The mean calibration pass of the run over :data:`REFERENCE_PASS_S`.
+    A mean, not a median: each pass falls within one stretch of steady
+    host speed, and the mean moves in proportion to the time the run
+    spent at each speed.
+    """
+    return sum(passes) / len(passes) / REFERENCE_PASS_S
 
 
 # ---------------------------------------------------------------------------
