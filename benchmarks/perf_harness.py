@@ -1002,6 +1002,20 @@ def bench_durability(size: int, repeats: int) -> dict:
         }
 
 
+def save_populated(path: Path, size: int, name: str) -> None:
+    """Write an image of *size* notes to *path*: the durability set-up.
+
+    The population is bulk-loaded into a plain database and saved as
+    one image, so the journal opened on it starts from that state and
+    only the measured commits are journaled.
+    """
+    from repro.core.storage import save_database
+
+    db = SeedDatabase(harness_schema(), name)
+    db.bulk_load([{"class": "Note", "name": f"Note{i}"} for i in range(size)])
+    save_database(db, path)
+
+
 def bench_durability_txn(size: int, repeats: int) -> dict:
     """Durable direct transaction: write-ahead txn delta vs checkpoint.
 
@@ -1022,15 +1036,9 @@ def bench_durability_txn(size: int, repeats: int) -> dict:
 
     with tempfile.TemporaryDirectory(prefix="seed-bench-") as tmp:
         path = Path(tmp) / "txn.seed"
-        journal = JournaledDatabase.open(
-            path, schema=harness_schema(), name=f"txn-{size}"
-        )
+        save_populated(path, size, f"txn-{size}")
+        journal = JournaledDatabase.open(path)
         db = journal.db
-        with journal.suspended_txn_sink():  # setup is not the workload
-            db.bulk_load(
-                [{"class": "Note", "name": f"Note{i}"} for i in range(size)],
-                [],
-            )
         before = journal._file.size_bytes()  # noqa: SLF001 - byte accounting
         journal.checkpoint()
         image_bytes = journal._file.size_bytes() - before  # noqa: SLF001
@@ -1088,18 +1096,9 @@ def bench_durability_group_commit(size: int, repeats: int) -> dict:
     commits = 1_000 if size >= 10_000 else 200
 
     def open_journal(tmp: str, policy):
-        journal = JournaledDatabase.open(
-            Path(tmp) / "gc.seed",
-            schema=harness_schema(),
-            name=f"gc-{size}",
-            group_commit=policy,
-        )
-        with journal.suspended_txn_sink():  # setup is not the workload
-            journal.db.bulk_load(
-                [{"class": "Note", "name": f"Note{i}"} for i in range(size)],
-                [],
-            )
-        return journal
+        path = Path(tmp) / "gc.seed"
+        save_populated(path, size, f"gc-{size}")
+        return JournaledDatabase.open(path, group_commit=policy)
 
     def hot_loop(policy) -> tuple[float, int]:
         with tempfile.TemporaryDirectory(prefix="seed-bench-") as tmp:

@@ -61,7 +61,7 @@ pays a pre-batch snapshot plus a full index rebuild.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from repro.core.bulk import BulkContext, load_item_states
 from repro.core.completeness import CompletenessEngine, CompletenessReport
@@ -152,9 +152,10 @@ class SeedDatabase:
         #: every committed mutation, typed by kind —
         #:
         #: * ``"txn"`` — a committed transaction (payload: the
-        #:   ``_Transaction``), fired after validation and completeness
-        #:   bookkeeping succeed, before control returns to the caller;
-        #:   rolled-back transactions never reach the sink;
+        #:   ``_Transaction``), fired after validation succeeds and
+        #:   before completeness bookkeeping; rolled-back transactions
+        #:   never reach the sink, and a sink that raises rolls the
+        #:   commit back;
         #: * ``"schema"`` — a completed :meth:`migrate_schema` (payload:
         #:   ``(new_schema, schema_version_index)``);
         #: * ``"restore"`` — a completed :meth:`restore_from_view`
@@ -225,8 +226,8 @@ class SeedDatabase:
                 + "\n  ".join(str(violation) for violation in violations),
                 violations,
             )
+        self._notify_commit(txn, lambda: self._rollback(txn))
         self.completeness.note_commit(txn.touched, txn.structural)
-        self._notify_commit(txn)
 
     @contextmanager
     def bulk(self) -> Iterator[BulkContext]:
@@ -280,6 +281,7 @@ class SeedDatabase:
                 + "\n  ".join(str(violation) for violation in violations),
                 violations,
             )
+        self._notify_commit(txn, context.restore)
         total_items = len(self._objects) + len(self._relationships)
         if len(txn.touched) * 2 >= total_items:
             # the batch touched most of the database: re-priming at the
@@ -288,7 +290,6 @@ class SeedDatabase:
             self.completeness.invalidate()
         else:
             self.completeness.note_commit(txn.touched, txn.structural)
-        self._notify_commit(txn)
 
     def bulk_load(
         self,
@@ -544,20 +545,29 @@ class SeedDatabase:
                 + "\n  ".join(str(violation) for violation in violations),
                 violations,
             )
+        self._notify_commit(txn, lambda: self._rollback(txn))
         self.completeness.note_commit(txn.touched, txn.structural)
-        self._notify_commit(txn)
 
-    def _notify_commit(self, txn: _Transaction) -> None:
-        """Hand a committed transaction to the change sink (if bound).
+    def _notify_commit(
+        self, txn: _Transaction, undo: Callable[[], None]
+    ) -> None:
+        """Hand a validated transaction to the change sink (if bound).
 
-        Runs after the commit is fully applied in memory; a no-op
-        commit (nothing touched) emits nothing.
+        Runs after validation and before completeness bookkeeping; a
+        no-op commit (nothing touched) emits nothing. When the sink
+        raises — the journal could not append the commit — *undo*
+        rolls the commit back and the error propagates, so a commit the
+        journal never took is never live.
         """
-        if txn.touched:
-            self._emit_change("txn", txn)
+        if txn.touched and self._change_sink is not None:
+            try:
+                self._change_sink("txn", txn)
+            except BaseException:
+                undo()
+                raise
 
     def _emit_change(self, kind: str, payload: Any) -> None:
-        """Feed one committed mutation to the change-capture seam.
+        """Feed one non-transactional mutation to the change-capture seam.
 
         Every event fires *after* its mutation is fully applied in
         memory; the sink's durability failure (e.g. a journal append

@@ -93,7 +93,7 @@ class RecoveryWarning(UserWarning):
     Emitted — never silently swallowed — when a load encounters
     mid-journal corruption: records were skipped by the resynchronizing
     salvage scan, a newer checkpoint had been shadowed, or trailing
-    check-in deltas could not be safely replayed. A :class:`Warning`
+    deltas could not be safely replayed. A :class:`Warning`
     rather than an error because the load *did* produce a consistent
     committed state; pass ``strict=True`` to the loaders to escalate.
     """

@@ -19,14 +19,14 @@ in one journal file:
   extra memory. Only a *complete* group (matching ``cp`` and count)
   counts as an image; a crash mid-stream leaves an incomplete group
   that recovery ignores, exactly like a torn monolithic append;
-* **check-in deltas** — ``{"kind": "checkin", "seq": n, "delta": ...}``
-  appended by :meth:`JournaledDatabase.append_delta` *before* the
-  master applies a multi-user check-in (write-ahead); a failed apply
-  is neutralized by ``{"kind": "checkin.abort", "seq": n}``;
 * **transaction deltas** — ``{"kind": "txn", "seq": n, "delta": ...}``
-  for every committed *direct* transaction (anything outside a
-  check-in apply, whose commits the check-in delta already covers);
-  rollbacks append nothing;
+  for every committed transaction: the committed after-states of the
+  items it touched (:func:`~repro.core.storage.serialize.
+  txn_delta_from_txn`). A commit made inside
+  :meth:`JournaledDatabase.check_in_scope` — a multi-user check-in's
+  single master transaction — carries the same payload under kind
+  ``"checkin"`` and is never buffered by group commit. Rollbacks and
+  rejected check-ins append nothing;
 * **mutation deltas** — the non-transactional mutators journal
   through the same seam: ``{"kind": "schema", ...}`` (a completed
   ``migrate_schema``: the serialized new schema + migration stats),
@@ -45,13 +45,17 @@ Recovery contract (shared by :func:`load_database` and
    resynchronizes past corrupt regions, so corruption cannot shadow a
    newer intact checkpoint; an incomplete streamed group is never a
    base.
-2. Deltas *after* the base replay in file order: check-in deltas each
-   in their own transaction, skipping aborted seqs (a live abort whose
-   marker was lost re-fails deterministically); txn deltas as direct
-   state upserts of their committed after-states; schema, restore, and
-   version deltas through their
-   :mod:`~repro.core.storage.serialize` appliers, interleaved exactly
-   where they committed.
+2. Deltas *after* the base replay in file order: ``txn`` and
+   ``checkin`` deltas as direct state upserts of their committed
+   after-states (never re-validated: replay does not re-decide what
+   already committed); schema, restore, and version deltas through
+   their :mod:`~repro.core.storage.serialize` appliers, interleaved
+   exactly where they committed. A ``checkin`` record that carries a
+   check-in *package* or a ``checkin.abort`` marker (the journal
+   format of older builds) raises
+   :class:`~repro.core.errors.StorageError`, strict or not: such a
+   record is never skipped and never half-applied. Before the base,
+   it is superseded like any other record.
 3. Replay stops at the first corrupt region after the base: deltas
    beyond a gap may depend on the lost record, so applying them could
    not be prefix-consistent. They are counted, not applied.
@@ -71,7 +75,7 @@ fsync'd append — the strict PR 9 contract. Opting in to a
 appends each batch with one fsync, bounding the durability window by
 ``max_txns`` / ``max_bytes`` / ``max_delay_s`` (checked at each
 commit against an injectable monotonic clock). Every consistency
-point is a **hard flush barrier**: check-in appends, checkpoints,
+point is a **hard flush barrier**: check-in commits, checkpoints,
 compaction, budget enforcement, snapshot pins, and service shutdown
 drain the buffer first, so a crash can only lose the last
 partial batch of *direct* commits — never a check-in, never anything
@@ -87,9 +91,11 @@ size exceeds the budget, the journal auto-compacts — first appending a
 fresh checkpoint if the live tail alone exceeds the budget, so the
 rewrite actually shrinks the file. The trigger points are post-commit
 (after a record's effects are already applied in memory) and explicit
-maintenance (:meth:`~JournaledDatabase.enforce_budget`) — never inside
-:meth:`~JournaledDatabase.append_delta`, where a checkpoint would
-supersede a write-ahead record whose apply has not happened yet.
+maintenance (:meth:`~JournaledDatabase.enforce_budget`). A commit is
+undone when its append fails, but never once the append is durable: a
+post-commit enforcement failure is surfaced as a
+:class:`~repro.core.errors.RecoveryWarning` and the next commit tries
+again.
 Crash safety of compaction itself rides on the atomic temp-and-rename
 of :meth:`~repro.core.storage.recordfile.RecordFile.rewrite`
 (exercised via the ``journal.compact.rewrite`` failpoint): a crash
@@ -114,7 +120,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.core import faults
 from repro.core.database import SeedDatabase
-from repro.core.errors import RecoveryWarning, SeedError, StorageError
+from repro.core.errors import RecoveryWarning, StorageError
 from repro.core.schema.attached import ProcedureRegistry
 from repro.core.storage.recordfile import (
     CorruptRange,
@@ -157,6 +163,7 @@ KNOWN_RECORD_KINDS = frozenset(
         "image.rec",
         "image.end",
         "checkin",
+        # written by older builds only; the loader refuses it
         "checkin.abort",
         "txn",
         "schema",
@@ -178,7 +185,7 @@ class GroupCommitPolicy:
     ``max_delay_s`` has elapsed since the first buffered commit
     (checked at each commit against the journal's monotonic clock; no
     background timer thread — an idle journal flushes at the next
-    commit or barrier). Check-in appends, checkpoints, compaction,
+    commit or barrier). Check-in commits, checkpoints, compaction,
     budget enforcement, and explicit :meth:`JournaledDatabase.flush`
     are hard barriers that drain the buffer first, so only the last
     partial batch of direct commits can ever be lost to a crash.
@@ -253,13 +260,14 @@ class RecoveryInfo:
     report: IntegrityReport
     #: byte offset of the base image record, None when no image survived
     base_offset: Optional[int] = None
-    #: check-in deltas replayed successfully after the base image
+    #: check-in deltas replayed after the base image
     applied_deltas: int = 0
     #: direct-transaction deltas replayed successfully after the base
     applied_txn_deltas: int = 0
     #: schema/restore/version mutation deltas replayed after the base
     applied_change_deltas: int = 0
-    #: deltas skipped via abort markers or deterministic re-failure
+    #: always 0: replay never re-decides a committed delta (kept for
+    #: callers that still read it)
     aborted_deltas: int = 0
     #: deltas (any kind in ``_DELTA_KINDS``) after the first post-base
     #: corrupt region (not applied)
@@ -340,8 +348,7 @@ def load_database(
     """Load the newest committed state from *path*.
 
     The newest intact image (found by the salvage scan, so corruption
-    cannot shadow it) plus every safely replayable check-in delta after
-    it. Corruption is surfaced per the module recovery contract:
+    cannot shadow it) plus every safely replayable delta after it. Corruption is surfaced per the module recovery contract:
     :class:`~repro.core.errors.RecoveryWarning` by default, raised as
     :class:`~repro.core.errors.StorageError` with ``strict=True``.
     """
@@ -428,17 +435,6 @@ def _load_journal_state(
         db = database_from_dict(base["image"], registry)
     else:
         db = database_from_records(base["parts"], registry)
-    aborted_seqs = {
-        event.record.get("seq")
-        for event in window
-        if isinstance(event.record, dict)
-        and event.record.get("kind") == "checkin.abort"
-    }
-    # imported lazily: the delta payload is a multi-user check-in
-    # package; the storage layer stays import-independent of the
-    # multiuser package except on this replay path
-    from repro.multiuser.checkin import package_from_dict
-
     for event in window:
         record = event.record
         if not isinstance(record, dict):
@@ -446,11 +442,25 @@ def _load_journal_state(
             info.unknown_kinds.append("<not a record object>")
             continue
         kind = record.get("kind")
-        if kind == "txn":
-            # committed after-states of a direct transaction: validated
-            # when they committed, so replay is a plain state upsert
+        if kind == "checkin.abort" or (
+            kind == "checkin" and "created_objects" in record["delta"]
+        ):
+            # the older write-ahead package format: its replay re-ran
+            # validation, so skipping or upserting it could both be wrong
+            raise StorageError(
+                f"{record_file.path}: {kind!r} record at byte "
+                f"{event.offset} is in the check-in package format of an "
+                "older build; open the journal with that build and "
+                "checkpoint it first"
+            )
+        if kind in ("txn", "checkin"):
+            # committed after-states, validated when they committed:
+            # replay is a plain state upsert
             apply_txn_delta(db, record["delta"])
-            info.applied_txn_deltas += 1
+            if kind == "txn":
+                info.applied_txn_deltas += 1
+            else:
+                info.applied_deltas += 1
             continue
         if kind == "schema":
             apply_schema_delta(db, record["delta"], registry)
@@ -464,30 +474,15 @@ def _load_journal_state(
             apply_version_delta(db, record["delta"])
             info.applied_change_deltas += 1
             continue
-        if kind != "checkin":
-            if kind not in KNOWN_RECORD_KINDS:
-                # a future build's record: skipping it keeps the load
-                # prefix-consistent *as this build understands state*;
-                # surface it so nobody mistakes the result for complete
-                info.unknown_records += 1
-                info.unknown_kinds.append(str(kind))
-            # image-family records in the window belong to an
-            # incomplete streamed checkpoint (crash mid-stream): state
-            # no-ops, skipped silently like a torn tail
-            continue
-        if record.get("seq") in aborted_seqs:
-            info.aborted_deltas += 1
-            continue
-        package = package_from_dict(record["delta"])
-        try:
-            with db.transaction():
-                package.apply_to(db)
-        except SeedError:
-            # a live abort whose marker did not survive re-fails
-            # deterministically here — same committed state either way
-            info.aborted_deltas += 1
-        else:
-            info.applied_deltas += 1
+        if kind not in KNOWN_RECORD_KINDS:
+            # a future build's record: skipping it keeps the load
+            # prefix-consistent *as this build understands state*;
+            # surface it so nobody mistakes the result for complete
+            info.unknown_records += 1
+            info.unknown_kinds.append(str(kind))
+        # image-family records in the window belong to an incomplete
+        # streamed checkpoint (crash mid-stream): state no-ops, skipped
+        # silently like a torn tail
     return db, info, max_seq + 1
 
 
@@ -515,15 +510,17 @@ class JournaledDatabase:
         db.migrate_schema(new)        # appends one ``schema`` delta
         db.create_version("v")        # appends one ``version`` delta
         journal.checkpoint()          # appends a recoverable image
-        journal.append_delta(pkg)     # durable O(change) check-in record
+        with journal.check_in_scope():
+            with db.transaction():    # journals one ``checkin`` record
+                ...
         journal.compact()             # drops superseded records
 
     Binding installs the database's change sink: every committed
-    mutation — direct transaction, schema migration, version restore,
-    version creation — appends a write-ahead delta before control
-    returns to the caller (rollbacks append nothing). With a
-    *byte_budget*, each post-commit append also enforces the budget —
-    see :meth:`enforce_budget`.
+    mutation — transaction, schema migration, version restore, version
+    creation — appends a write-ahead delta before control returns to
+    the caller (rollbacks append nothing; a transaction whose append
+    fails is rolled back). With a *byte_budget*, each post-commit
+    append also enforces the budget — see :meth:`enforce_budget`.
 
     With a :class:`GroupCommitPolicy`, direct-transaction deltas are
     buffered and appended with one fsync per batch; everything else
@@ -532,7 +529,7 @@ class JournaledDatabase:
     per-commit durability.
 
     After :meth:`open`, :attr:`recovery` describes what the load found
-    (corruption skipped, deltas replayed/aborted/stranded).
+    (corruption skipped, deltas replayed/stranded).
     """
 
     def __init__(
@@ -571,9 +568,9 @@ class JournaledDatabase:
         self._superseded_bytes = (
             recovery.base_offset if recovery and recovery.base_offset else 0
         )
-        # sink suspension depth: >0 while a check-in apply runs (the
-        # check-in delta already covers those commits write-ahead)
-        self._sink_suspended = 0
+        # record kind of the next transaction commit: "checkin" inside
+        # check_in_scope(), "txn" otherwise
+        self._txn_kind = "txn"
         db._change_sink = self._on_change_event  # noqa: SLF001 - the seam
 
     @classmethod
@@ -682,33 +679,6 @@ class JournaledDatabase:
         self._superseded_bytes = offset
         return self._file.size_bytes()
 
-    def append_delta(self, delta: dict[str, Any]) -> int:
-        """Durably append one check-in delta; returns its sequence number.
-
-        Write-ahead: the caller appends *before* applying the check-in
-        to the database, so an accepted check-in is durable at
-        O(change) cost. If the apply then fails, neutralize the record
-        with :meth:`append_abort` — replay skips marked seqs (and a
-        marker lost to a crash re-fails deterministically on replay).
-
-        Hard flush barrier: buffered group-commit records land in the
-        same fsync'd batch, ahead of the check-in record, preserving
-        file order.
-
-        Never auto-compacts: the record is write-ahead of its apply, so
-        a checkpoint taken here would supersede a delta whose effects
-        are not in the image yet. Budget enforcement belongs *after*
-        the apply (see :meth:`enforce_budget`).
-        """
-        seq = self._next_seq
-        self._next_seq += 1
-        self._append_record({"kind": "checkin", "seq": seq, "delta": delta})
-        return seq
-
-    def append_abort(self, seq: int) -> None:
-        """Mark delta *seq* as never-applied (its check-in was rejected)."""
-        self._append_record({"kind": "checkin.abort", "seq": seq})
-
     # -- the change sink ----------------------------------------------------
 
     def _on_change_event(self, kind: str, payload: Any) -> None:
@@ -722,8 +692,6 @@ class JournaledDatabase:
         — draining any buffered txns in the same fsync'd batch — before
         returning.
         """
-        if self._sink_suspended:
-            return
         if kind == "txn":
             self._on_txn_commit(payload)
             return
@@ -744,38 +712,64 @@ class JournaledDatabase:
         seq = self._next_seq
         self._next_seq += 1
         self._append_record({"kind": kind, "seq": seq, "delta": delta})
-        if self.byte_budget is not None:
-            self.enforce_budget(self.byte_budget)
+        self._enforce_after_commit()
 
     def _on_txn_commit(self, txn) -> None:
-        """Append (or buffer) a ``txn`` delta for a committed transaction."""
+        """Append (or buffer) the delta of a committed transaction.
+
+        Raising here makes the database roll the commit back, so
+        nothing of this commit may stay behind: a batch that would
+        reach a group-commit bound is appended together with this
+        record, and the buffer changes only once that append succeeds.
+        """
         if faults._PLAN is not None:  # noqa: SLF001 - zero-cost guard
             faults.fire("txn.journal.pre_append")
         seq = self._next_seq
         self._next_seq += 1
         record = {
-            "kind": "txn",
+            "kind": self._txn_kind,
             "seq": seq,
             "delta": txn_delta_from_txn(self.db, txn),
         }
         policy = self.group_commit
-        if policy is None:
-            self._file.append(record)
-            if self.byte_budget is not None:
-                self.enforce_budget(self.byte_budget)
+        if policy is not None and self._txn_kind == "txn":
+            encoded = json.dumps(record, separators=(",", ":"), sort_keys=True)
+            now = self._clock()
+            since = now if self._pending_since is None else self._pending_since
+            if (
+                len(self._pending) + 1 < policy.max_txns
+                and self._pending_bytes + len(encoded) < policy.max_bytes
+                and now - since < policy.max_delay_s
+            ):
+                self._pending.append(record)
+                self._pending_bytes += len(encoded)
+                self._pending_since = since
+                return
+        self._append_record(record)
+        self._enforce_after_commit()
+
+    def _enforce_after_commit(self) -> None:
+        """Enforce the byte budget once a commit's record is durable.
+
+        The commit stands, so a storage failure here (say, an I/O error
+        while compacting) is surfaced as a
+        :class:`~repro.core.errors.RecoveryWarning` instead of raised:
+        the rewrite is atomic, the journal stays loadable, and the next
+        commit tries again.
+        """
+        if self.byte_budget is None:
             return
-        encoded = json.dumps(record, separators=(",", ":"), sort_keys=True)
-        now = self._clock()
-        self._pending.append(record)
-        self._pending_bytes += len(encoded)
-        if self._pending_since is None:
-            self._pending_since = now
-        if (
-            len(self._pending) >= policy.max_txns
-            or self._pending_bytes >= policy.max_bytes
-            or now - self._pending_since >= policy.max_delay_s
-        ):
-            self.flush()
+        try:
+            self.enforce_budget(self.byte_budget)
+        except (OSError, StorageError) as error:
+            warnings.warn(
+                RecoveryWarning(
+                    f"journal {self._file.path}: byte-budget enforcement "
+                    f"failed after a durable commit ({error}); the commit "
+                    "stands and the next commit retries"
+                ),
+                stacklevel=2,
+            )
 
     # -- group commit --------------------------------------------------------
 
@@ -821,18 +815,22 @@ class JournaledDatabase:
             self._file.append(record)
 
     @contextmanager
-    def suspended_txn_sink(self) -> Iterator[None]:
-        """Suppress txn-delta appends for the duration (reentrant).
+    def check_in_scope(self) -> Iterator[None]:
+        """Journal the transactions committed inside as ``checkin`` records.
 
-        Used around check-in applies: those commits are already covered
-        write-ahead by their check-in delta, and double-journaling them
-        would double-apply on replay.
+        Wraps a multi-user check-in's single master transaction. Its
+        commit appends the same after-state delta as any ``txn``
+        record, but immediately — never buffered by group commit, and
+        draining any buffered records in the same fsync'd batch — so
+        an acknowledged check-in is durable. A rejected check-in rolls
+        back and appends nothing.
         """
-        self._sink_suspended += 1
+        outer = self._txn_kind
+        self._txn_kind = "checkin"
         try:
             yield
         finally:
-            self._sink_suspended -= 1
+            self._txn_kind = outer
 
     # -- size bounding ------------------------------------------------------
 
@@ -868,8 +866,8 @@ class JournaledDatabase:
         Flush barrier: buffered group-commit records are appended
         before the scan, so none can be dropped by the rewrite. Keeps
         the newest complete image unit (monolithic record or streamed
-        group) plus the deltas after it, minus aborted delta/marker
-        pairs and minus any incomplete streamed-checkpoint leftovers.
+        group) plus the deltas after it, minus any incomplete
+        streamed-checkpoint leftovers.
         Corrupt regions are implicitly dropped by the rewrite;
         quarantine first via
         :meth:`~repro.core.storage.recordfile.RecordFile.salvage` if
@@ -901,12 +899,6 @@ class JournaledDatabase:
                 event.record
                 for event in record_events[base["start_index"]:]
             ]
-            aborted = {
-                record.get("seq")
-                for record in tail
-                if isinstance(record, dict)
-                and record.get("kind") == "checkin.abort"
-            }
             # image-family records in the tail that are not part of the
             # (complete) base unit belong to an interrupted streamed
             # checkpoint: state no-ops a load ignores — drop the junk
@@ -916,11 +908,6 @@ class JournaledDatabase:
                 if not isinstance(record, dict):
                     return True
                 kind = record.get("kind")
-                if (
-                    kind in ("checkin", "checkin.abort")
-                    and record.get("seq") in aborted
-                ):
-                    return False
                 if kind in ("image.begin", "image.rec", "image.end"):
                     return base_cp is not None and record.get("cp") == base_cp
                 return True
@@ -942,7 +929,7 @@ class JournaledDatabase:
         return len(_image_units(record_events))
 
     def deltas(self) -> int:
-        """Number of intact check-in delta records in the journal."""
+        """Number of intact ``checkin`` delta records in the journal."""
         return sum(
             1
             for event in self._file.scan()

@@ -44,6 +44,10 @@ __all__ = [
     "iter_image_records",
     "database_from_records",
     "ingest_image_records",
+    "object_state_to_dict",
+    "object_state_from_dict",
+    "relationship_state_to_dict",
+    "relationship_state_from_dict",
     "txn_delta_from_txn",
     "apply_txn_delta",
     "schema_delta_from_migration",
@@ -224,10 +228,12 @@ def schema_from_dict(
 
 
 # ---------------------------------------------------------------------------
-# item states
+# item states — the one frozen-state codec: images, journal deltas, and
+# the multi-user wire (check-out tickets, check-in packages) all use it
 # ---------------------------------------------------------------------------
 
-def _object_state_to_dict(state: ObjectState) -> dict:
+def object_state_to_dict(state: ObjectState) -> dict:
+    """JSON form of a frozen object state."""
     return {
         "class": state.class_name,
         "name": state.name,
@@ -240,7 +246,8 @@ def _object_state_to_dict(state: ObjectState) -> dict:
     }
 
 
-def _object_state_from_dict(data: dict) -> ObjectState:
+def object_state_from_dict(data: dict) -> ObjectState:
+    """Inverse of :func:`object_state_to_dict`."""
     return ObjectState(
         class_name=data["class"],
         name=data["name"],
@@ -253,7 +260,8 @@ def _object_state_from_dict(data: dict) -> ObjectState:
     )
 
 
-def _relationship_state_to_dict(state: RelationshipState) -> dict:
+def relationship_state_to_dict(state: RelationshipState) -> dict:
+    """JSON form of a frozen relationship state."""
     return {
         "association": state.association_name,
         "bindings": [[role, oid] for role, oid in state.bindings],
@@ -265,7 +273,8 @@ def _relationship_state_to_dict(state: RelationshipState) -> dict:
     }
 
 
-def _relationship_state_from_dict(data: dict) -> RelationshipState:
+def relationship_state_from_dict(data: dict) -> RelationshipState:
+    """Inverse of :func:`relationship_state_to_dict`."""
     return RelationshipState(
         association_name=data["association"],
         bindings=tuple((role, oid) for role, oid in data["bindings"]),
@@ -297,10 +306,10 @@ def txn_delta_from_txn(db: SeedDatabase, txn) -> dict:
     for key in sorted(txn.touched):
         item = txn.touched[key][0]
         if key[0] == "o":
-            objects.append([key[1], _object_state_to_dict(item.freeze())])
+            objects.append([key[1], object_state_to_dict(item.freeze())])
         else:
             relationships.append(
-                [key[1], _relationship_state_to_dict(item.freeze())]
+                [key[1], relationship_state_to_dict(item.freeze())]
             )
     dirty = db._dirty  # noqa: SLF001 - dirty parity is part of the delta
     return {
@@ -311,22 +320,21 @@ def txn_delta_from_txn(db: SeedDatabase, txn) -> dict:
 
 
 def apply_txn_delta(db: SeedDatabase, delta: dict) -> int:
-    """Replay one ``txn`` delta against *db*; returns items applied.
+    """Replay one ``txn`` or ``checkin`` delta; returns items applied.
 
     The delta carries committed *after* states keyed by stable item
     ids, so replay is a direct state upsert — no consistency
     re-validation (the states were validated when they committed) and
-    no id translation (unlike check-in packages, direct transactions
-    run on the master itself). Objects apply in ascending oid order,
+    no id translation (a check-in's commit already holds the master
+    ids its created items got). Objects apply in ascending oid order,
     which lists parents before their transaction-created children.
     Index layers are marked stale rather than rebuilt eagerly; the
-    next index-backed read (including a later check-in delta's
-    validation) rebuilds once.
+    next index-backed read rebuilds once.
     """
     applied = 0
     max_id = 0
     for oid, data in delta.get("objects", ()):
-        state = _object_state_from_dict(data)
+        state = object_state_from_dict(data)
         obj = db._objects.get(oid)  # noqa: SLF001
         if obj is None:
             parent = (
@@ -367,7 +375,7 @@ def apply_txn_delta(db: SeedDatabase, delta: dict) -> int:
         applied += 1
         max_id = max(max_id, oid)
     for rid, data in delta.get("relationships", ()):
-        state = _relationship_state_from_dict(data)
+        state = relationship_state_from_dict(data)
         rel = db._relationships.get(rid)  # noqa: SLF001
         if rel is None:
             bindings = {
@@ -468,11 +476,11 @@ def restore_delta_from_db(db: SeedDatabase, version: Optional[str]) -> dict:
     return {
         "version": version,
         "objects": [
-            [obj.oid, _object_state_to_dict(obj.freeze())]
+            [obj.oid, object_state_to_dict(obj.freeze())]
             for obj in db.all_objects_raw()
         ],
         "relationships": [
-            [rel.rid, _relationship_state_to_dict(rel.freeze())]
+            [rel.rid, relationship_state_to_dict(rel.freeze())]
             for rel in db.all_relationships_raw()
         ],
         "next_id": db._next_id,  # noqa: SLF001
@@ -492,11 +500,11 @@ def apply_restore_delta(db: SeedDatabase, delta: dict) -> int:
     load_item_states(
         db,
         (
-            (oid, _object_state_from_dict(data))
+            (oid, object_state_from_dict(data))
             for oid, data in delta.get("objects", ())
         ),
         (
-            (rid, _relationship_state_from_dict(data))
+            (rid, relationship_state_from_dict(data))
             for rid, data in delta.get("relationships", ())
         ),
         next_id_floor=delta.get("next_id", 0),
@@ -528,9 +536,9 @@ def version_delta_from_db(db: SeedDatabase, vid: VersionId) -> dict:
             if version != vid:
                 continue
             encoded = (
-                _object_state_to_dict(state)
+                object_state_to_dict(state)
                 if kind == "o"
-                else _relationship_state_to_dict(state)  # type: ignore[arg-type]
+                else relationship_state_to_dict(state)  # type: ignore[arg-type]
             )
             cell = {"kind": kind, "id": item_id, "state": encoded}
             if materialized:
@@ -562,9 +570,9 @@ def apply_version_delta(db: SeedDatabase, delta: dict) -> VersionId:
     for cell in delta.get("cells", ()):
         key = (cell["kind"], cell["id"])
         state = (
-            _object_state_from_dict(cell["state"])
+            object_state_from_dict(cell["state"])
             if cell["kind"] == "o"
-            else _relationship_state_from_dict(cell["state"])
+            else relationship_state_from_dict(cell["state"])
         )
         manager.store.record(vid, key, state)
         if cell.get("materialized"):
@@ -586,11 +594,11 @@ def apply_version_delta(db: SeedDatabase, delta: dict) -> VersionId:
 def database_to_dict(db: SeedDatabase) -> dict:
     """Serialise the complete database state."""
     objects = [
-        {"oid": obj.oid, **_object_state_to_dict(obj.freeze())}
+        {"oid": obj.oid, **object_state_to_dict(obj.freeze())}
         for obj in db.all_objects_raw()
     ]
     relationships = [
-        {"rid": rel.rid, **_relationship_state_to_dict(rel.freeze())}
+        {"rid": rel.rid, **relationship_state_to_dict(rel.freeze())}
         for rel in db.all_relationships_raw()
     ]
     store = db.versions.store
@@ -600,9 +608,9 @@ def database_to_dict(db: SeedDatabase) -> dict:
         entries = []
         for version, state, materialized in store.entries_of(key):
             encoded = (
-                _object_state_to_dict(state)
+                object_state_to_dict(state)
                 if kind == "o"
-                else _relationship_state_to_dict(state)  # type: ignore[arg-type]
+                else relationship_state_to_dict(state)  # type: ignore[arg-type]
             )
             entry = {"version": str(version), "state": encoded}
             if materialized:
@@ -661,11 +669,11 @@ def database_from_dict(
     load_item_states(
         db,
         (
-            (record["oid"], _object_state_from_dict(record))
+            (record["oid"], object_state_from_dict(record))
             for record in data["objects"]
         ),
         (
-            (record["rid"], _relationship_state_from_dict(record))
+            (record["rid"], relationship_state_from_dict(record))
             for record in data["relationships"]
         ),
     )
@@ -679,9 +687,9 @@ def database_from_dict(
         key = (cell["kind"], cell["id"])
         for entry in cell["states"]:
             state = (
-                _object_state_from_dict(entry["state"])
+                object_state_from_dict(entry["state"])
                 if cell["kind"] == "o"
-                else _relationship_state_from_dict(entry["state"])
+                else relationship_state_from_dict(entry["state"])
             )
             version = VersionId.parse(entry["version"])
             db.versions.store.record(version, key, state)
@@ -763,18 +771,18 @@ def iter_image_records(db: SeedDatabase) -> Iterator[dict]:
     counts = {"o": 0, "r": 0, "c": 0}
     for obj in db.all_objects_raw():
         counts["o"] += 1
-        yield {"o": obj.oid, "s": _object_state_to_dict(obj.freeze())}
+        yield {"o": obj.oid, "s": object_state_to_dict(obj.freeze())}
     for rel in db.all_relationships_raw():
         counts["r"] += 1
-        yield {"r": rel.rid, "s": _relationship_state_to_dict(rel.freeze())}
+        yield {"r": rel.rid, "s": relationship_state_to_dict(rel.freeze())}
     for key in store.keys():
         kind, item_id = key
         entries = []
         for version, state, materialized in store.entries_of(key):
             encoded = (
-                _object_state_to_dict(state)
+                object_state_to_dict(state)
                 if kind == "o"
-                else _relationship_state_to_dict(state)  # type: ignore[arg-type]
+                else relationship_state_to_dict(state)  # type: ignore[arg-type]
             )
             entry = {"version": str(version), "state": encoded}
             if materialized:
@@ -830,11 +838,11 @@ def database_from_records(
     load_item_states(
         db,
         (
-            (record["o"], _object_state_from_dict(record["s"]))
+            (record["o"], object_state_from_dict(record["s"]))
             for record in section("o")
         ),
         (
-            (record["r"], _relationship_state_from_dict(record["s"]))
+            (record["r"], relationship_state_from_dict(record["s"]))
             for record in section("r")
         ),
     )
@@ -848,9 +856,9 @@ def database_from_records(
         key = (cell["kind"], cell["id"])
         for entry in cell["states"]:
             state = (
-                _object_state_from_dict(entry["state"])
+                object_state_from_dict(entry["state"])
                 if cell["kind"] == "o"
-                else _relationship_state_from_dict(entry["state"])
+                else relationship_state_from_dict(entry["state"])
             )
             version = VersionId.parse(entry["version"])
             db.versions.store.record(version, key, state)
@@ -932,7 +940,7 @@ def ingest_image_records(
                 oid = record["o"]
                 if oid in db._objects:  # noqa: SLF001
                     raise StorageError(f"object id {oid} already exists")
-                state = _object_state_from_dict(record["s"])
+                state = object_state_from_dict(record["s"])
                 parent = (
                     db._objects[state.parent_oid]  # noqa: SLF001
                     if state.parent_oid is not None
@@ -969,7 +977,7 @@ def ingest_image_records(
                     raise StorageError(
                         f"relationship id {rid} already exists"
                     )
-                state = _relationship_state_from_dict(record["s"])
+                state = relationship_state_from_dict(record["s"])
                 bindings = {
                     role: db._objects[oid]  # noqa: SLF001
                     for role, oid in state.bindings

@@ -6,27 +6,33 @@ to its check-out baseline: created items, modified items, deletions.
 single check-in transaction, translating client-local ids of created
 items to fresh master ids.
 
-Packages also serialise (:func:`package_to_dict` /
-:func:`package_from_dict`): a journal-bound server appends each package
-as a write-ahead ``{"kind": "checkin"}`` delta record before applying
-it, making accepted check-ins durable at O(change) cost; the engine
-replays the same records on load. ``apply_to`` is deterministic given
-the master state (fresh ids come from the master's counter, stale-copy
-guards compare full frozen states), which is what makes replay
-equivalent to the live application.
+Packages serialise for the wire (:func:`package_to_dict` /
+:func:`package_from_dict`) with the item-state codec of
+:mod:`repro.core.storage.serialize`, the same one images and journal
+deltas use. A package is never journaled: the server applies it in
+one master transaction, and that commit journals its committed
+after-states as a ``checkin`` record (see
+:meth:`~repro.core.storage.engine.JournaledDatabase.check_in_scope`).
+Replay upserts those states, so it never re-runs ``apply_to`` and
+never re-decides whether the check-in was valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core import faults
 from repro.core.database import SeedDatabase
 from repro.core.errors import CheckInError
 from repro.core.objects import ObjectState
 from repro.core.relationships import RelationshipState
-from repro.core.storage.serialize import decode_value, encode_value
+from repro.core.storage.serialize import (
+    object_state_from_dict,
+    object_state_to_dict,
+    relationship_state_from_dict,
+    relationship_state_to_dict,
+)
 from repro.core.versions.store import ItemKey
 
 __all__ = [
@@ -34,10 +40,6 @@ __all__ = [
     "build_package",
     "package_to_dict",
     "package_from_dict",
-    "object_state_to_dict",
-    "object_state_from_dict",
-    "relationship_state_to_dict",
-    "relationship_state_from_dict",
 ]
 
 
@@ -59,15 +61,6 @@ class CheckInPackage:
     modified_relationships: list[
         tuple[int, RelationshipState, RelationshipState]
     ] = field(default_factory=list)
-
-    def is_empty(self) -> bool:
-        """True when the client changed nothing."""
-        return not (
-            self.created_objects
-            or self.created_relationships
-            or self.modified_objects
-            or self.modified_relationships
-        )
 
     def changed_existing_keys(self) -> list[ItemKey]:
         """Keys of pre-existing items the package touches (lock check)."""
@@ -216,87 +209,29 @@ class CheckInPackage:
 
 
 # ---------------------------------------------------------------------------
-# serialisation (write-ahead check-in deltas)
+# serialisation (the wire form of a package)
 # ---------------------------------------------------------------------------
 
-def _object_state_to_dict(state: ObjectState) -> dict:
-    return {
-        "class_name": state.class_name,
-        "name": state.name,
-        "index": state.index,
-        "parent_oid": state.parent_oid,
-        "value": encode_value(state.value),
-        "deleted": state.deleted,
-        "is_pattern": state.is_pattern,
-        "inherited_pattern_oids": list(state.inherited_pattern_oids),
-    }
-
-
-def _object_state_from_dict(data: dict) -> ObjectState:
-    return ObjectState(
-        class_name=data["class_name"],
-        name=data["name"],
-        index=data["index"],
-        parent_oid=data["parent_oid"],
-        value=decode_value(data["value"]),
-        deleted=data["deleted"],
-        is_pattern=data["is_pattern"],
-        inherited_pattern_oids=tuple(data["inherited_pattern_oids"]),
-    )
-
-
-def _relationship_state_to_dict(state: RelationshipState) -> dict:
-    return {
-        "association_name": state.association_name,
-        "bindings": [[role, oid] for role, oid in state.bindings],
-        "attributes": [
-            [name, encode_value(value)] for name, value in state.attributes
-        ],
-        "deleted": state.deleted,
-        "is_pattern": state.is_pattern,
-    }
-
-
-def _relationship_state_from_dict(data: dict) -> RelationshipState:
-    return RelationshipState(
-        association_name=data["association_name"],
-        bindings=tuple((role, oid) for role, oid in data["bindings"]),
-        attributes=tuple(
-            (name, decode_value(value)) for name, value in data["attributes"]
-        ),
-        deleted=data["deleted"],
-        is_pattern=data["is_pattern"],
-    )
-
-
-# public names: the wire protocol (multiuser.protocol) serializes
-# check-out tickets with the same state codecs the journal deltas use
-object_state_to_dict = _object_state_to_dict
-object_state_from_dict = _object_state_from_dict
-relationship_state_to_dict = _relationship_state_to_dict
-relationship_state_from_dict = _relationship_state_from_dict
-
-
 def package_to_dict(package: CheckInPackage) -> dict:
-    """JSON-compatible form of a package (the journal delta payload)."""
+    """JSON-compatible form of a package (the ``check_in`` wire payload)."""
     return {
         "created_objects": [
-            [oid, _object_state_to_dict(state)]
+            [oid, object_state_to_dict(state)]
             for oid, state in package.created_objects
         ],
         "created_relationships": [
-            [rid, _relationship_state_to_dict(state)]
+            [rid, relationship_state_to_dict(state)]
             for rid, state in package.created_relationships
         ],
         "modified_objects": [
-            [oid, _object_state_to_dict(before), _object_state_to_dict(after)]
+            [oid, object_state_to_dict(before), object_state_to_dict(after)]
             for oid, before, after in package.modified_objects
         ],
         "modified_relationships": [
             [
                 rid,
-                _relationship_state_to_dict(before),
-                _relationship_state_to_dict(after),
+                relationship_state_to_dict(before),
+                relationship_state_to_dict(after),
             ]
             for rid, before, after in package.modified_relationships
         ],
@@ -304,25 +239,25 @@ def package_to_dict(package: CheckInPackage) -> dict:
 
 
 def package_from_dict(data: dict) -> CheckInPackage:
-    """Inverse of :func:`package_to_dict` (the journal replay path)."""
+    """Inverse of :func:`package_to_dict` (the service's decode path)."""
     return CheckInPackage(
         created_objects=[
-            (oid, _object_state_from_dict(state))
+            (oid, object_state_from_dict(state))
             for oid, state in data["created_objects"]
         ],
         created_relationships=[
-            (rid, _relationship_state_from_dict(state))
+            (rid, relationship_state_from_dict(state))
             for rid, state in data["created_relationships"]
         ],
         modified_objects=[
-            (oid, _object_state_from_dict(before), _object_state_from_dict(after))
+            (oid, object_state_from_dict(before), object_state_from_dict(after))
             for oid, before, after in data["modified_objects"]
         ],
         modified_relationships=[
             (
                 rid,
-                _relationship_state_from_dict(before),
-                _relationship_state_from_dict(after),
+                relationship_state_from_dict(before),
+                relationship_state_from_dict(after),
             )
             for rid, before, after in data["modified_relationships"]
         ],

@@ -17,10 +17,13 @@ class again (:func:`raise_remote_error`), so wire clients see the same
 error surface as in-process clients — ``SessionError`` for a zombie
 token is an ``SessionError`` on both sides of the socket.
 
-Payload codecs reuse the journal's state serializers
-(:mod:`repro.multiuser.checkin`): a check-out ticket travels as the same
-frozen-state dictionaries a write-ahead delta uses, and a check-in
-package travels as its ``package_to_dict`` form. Item keys — tuples
+Payload codecs reuse the one item-state codec of
+:mod:`repro.core.storage.serialize`: a check-out ticket travels as the
+same frozen-state dictionaries (keys ``class``, ``parent``,
+``pattern``, ``inherits``, ``association``, ...) that images and
+journal deltas hold, and a check-in package travels as its
+:func:`~repro.multiuser.checkin.package_to_dict` form, built on the
+same codec. Item keys — tuples
 ``("o", id)`` / ``("r", id)`` in memory — become two-element lists in
 JSON and are restored on decode.
 """
@@ -38,7 +41,7 @@ from repro.core.errors import (
     SessionError,
     VersionError,
 )
-from repro.multiuser.checkin import (
+from repro.core.storage.serialize import (
     object_state_from_dict,
     object_state_to_dict,
     relationship_state_from_dict,

@@ -37,10 +37,11 @@ the squash.
 
 Durability: bind a
 :class:`~repro.core.storage.engine.JournaledDatabase` (``journal=`` or
-:meth:`open`) and accepted check-ins are durable at O(change) via
-write-ahead deltas — and so are *direct* master transactions, through
-the journal's post-commit txn sink (suspended while a check-in package
-applies, since the check-in delta already covers those commits).
+:meth:`open`) and every master commit is durable at O(change) through
+the journal's commit sink. A check-in's single transaction runs inside
+:meth:`~repro.core.storage.engine.JournaledDatabase.check_in_scope`,
+so its commit appends one unbuffered ``checkin`` record of committed
+after-states; replay upserts them and never re-validates the package.
 :meth:`maintain` additionally enforces the policy's
 ``journal_byte_budget`` so a long-lived server's journal stays bounded.
 Liveness is unchanged from PR 6: pass ``lease_seconds`` and a crashed
@@ -56,7 +57,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
-from repro.core import faults
 from repro.core.database import SeedDatabase
 from repro.core.errors import CheckInError, SeedError, VersionError
 from repro.core.objects import ObjectState, SeedObject
@@ -167,7 +167,7 @@ class SeedServer:
         *group_commit* batches direct-transaction journal appends (one
         fsync per batch, see
         :class:`~repro.core.storage.engine.GroupCommitPolicy`); check-in
-        appends, snapshot pins, maintenance, and shutdown remain hard
+        commits, snapshot pins, maintenance, and shutdown remain hard
         flush barriers, so the bounded durability window only ever
         covers direct commits. *streamed_checkpoints* makes every
         checkpoint stream its image records instead of materializing
@@ -531,10 +531,13 @@ class SeedServer:
         per-item transaction — a bulk batch pays an O(master) pre-batch
         snapshot plus a full index rebuild, which only amortizes once
         the package is a sizeable fraction of the master. Either way
-        the semantics are identical: any consistency violation or
-        stale-copy conflict rolls everything back in place — the master
-        is left unchanged (surviving handles stay valid) and the client
-        keeps its locks and standing (it can fix the copy and retry).
+        the semantics are identical: any consistency violation,
+        stale-copy conflict, or failed journal append rolls everything
+        back in place — the master is left unchanged (surviving handles
+        stay valid), nothing is journaled, and the client keeps its
+        locks and standing (it can fix the copy and retry). On a
+        journal-bound server the commit appends its committed
+        after-states as one ``checkin`` record before this returns.
         """
         session = self.sessions.validate(token)
         client_id = session.client_id
@@ -570,37 +573,22 @@ class SeedServer:
         else:
             use_bulk = force_bulk and package_size > 0
         boundary = self.master.bulk if use_bulk else self.master.transaction
-        seq = None
-        if self.journal is not None and not changes.is_empty():
-            # write-ahead: the delta is durable before the master
-            # mutates, so an acknowledged check-in survives a crash
-            if faults._PLAN is not None:  # noqa: SLF001 - zero-cost guard
-                faults.fire("checkin.journal.pre_append")
-            seq = self.journal.append_delta(package_to_dict(changes))
-        suspend = (
-            self.journal.suspended_txn_sink()
+        # the commit journals itself as one durable ``checkin`` record;
+        # a failed append rolls it back like any other failure
+        scope = (
+            self.journal.check_in_scope()
             if self.journal is not None
-            # the check-in delta above already covers these commits
             else nullcontext()
         )
         try:
-            with suspend, boundary():
+            with scope, boundary():
                 translation = changes.apply_to(self.master)
         except BaseException:
             self.checkins_rejected += 1
-            if seq is not None:
-                # neutralize the journaled delta; if *this* append is
-                # lost to a crash too, replay re-fails the delta
-                # deterministically — same committed state either way
-                self.journal.append_abort(seq)
             raise
         self.locks.release(token)
         self._standing.pop(token, None)
         self.checkins_applied += 1
-        if self.journal is not None and self.journal.byte_budget is not None:
-            # safe trigger point: the delta's effects are applied, so a
-            # checkpoint taken by enforcement already contains them
-            self.journal.enforce_budget()
         return translation
 
     # -- global versions -------------------------------------------------------------------
@@ -617,7 +605,4 @@ class SeedServer:
 
 
 # imported late to avoid a cycle in type checking; re-exported for typing
-from repro.multiuser.checkin import (  # noqa: E402  (cycle guard)
-    CheckInPackage,
-    package_to_dict,
-)
+from repro.multiuser.checkin import CheckInPackage  # noqa: E402  (cycle guard)

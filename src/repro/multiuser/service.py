@@ -136,9 +136,10 @@ class SeedService:
         write lock (holding it proves no check-in or maintenance pass
         is mid-apply). *drain_timeout_s* bounds each wait so a hung
         apply cannot wedge shutdown — on timeout the work is abandoned
-        (its executor thread finishes on its own; the master rolls back
-        on failure as usual, and an un-acked check-in's journal record
-        replays on the next open). A drained journal-bound server
+        (its executor thread finishes on its own: a check-in that still
+        commits journals its ``checkin`` record and replays on the next
+        open although it was never acknowledged; one that fails rolls
+        back and journals nothing). A drained journal-bound server
         always flushes the group-commit buffer — shutdown is a hard
         durability barrier, so buffered commits are never lost to a
         clean stop even without a checkpoint. With *final_checkpoint*,

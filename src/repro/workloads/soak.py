@@ -1,9 +1,10 @@
 """Durability soak: sustained mixed writes against a bounded journal.
 
 Drives a journal-bound :class:`~repro.multiuser.server.SeedServer`
-through a long, deterministic mix of direct transactions (the txn
-write-ahead path), check-out/check-in cycles (the check-in delta
-path), rejected check-ins (abort markers), and periodic maintenance —
+through a long, deterministic mix of direct transactions (``txn``
+records), check-out/check-in cycles (``checkin`` records, the same
+commit sink unbuffered), rejected check-ins (which journal nothing),
+and periodic maintenance —
 all with a ``byte_budget`` set, so the journal must keep itself
 bounded by auto-checkpoint-then-compact while the workload runs.
 Optionally the mix also carries schema migrations and version
@@ -54,7 +55,7 @@ class SoakResult:
 
     transactions: int  #: direct commits through the txn sink
     checkins: int  #: accepted check-in packages
-    rejected: int  #: stale check-ins (abort markers in the journal)
+    rejected: int  #: stale check-ins (rolled back, nothing journaled)
     maintenance_runs: int
     byte_budget: int
     high_water_bytes: int  #: largest file size ever observed
@@ -102,8 +103,8 @@ def run_durability_soak(
     relative to *byte_budget* and the journal's churn is genuinely
     superseded work); check-ins add fresh items; every
     *maintain_every* accepted check-ins the server runs a maintenance
-    pass. One in each eight check-ins is made stale on purpose to leave
-    abort markers in the stream. *migrations* schema migrations
+    pass. One in each eight check-ins is made stale on purpose, so
+    rejected check-ins run between the journaled ones. *migrations* schema migrations
     (additive, cumulative — see :func:`soak_schema`) and *restores*
     version snapshot+restore cycles are shuffled into the same op
     stream, so their ``schema`` / ``version`` / ``restore`` deltas land
@@ -175,8 +176,8 @@ def run_durability_soak(
             if make_stale:
                 # a direct master mutation of a checked-out object
                 # invalidates the client's baseline: its check-in
-                # arrives stale, is rejected, and leaves an abort
-                # marker paired with the write-ahead delta
+                # arrives stale, is rejected, rolls back, and journals
+                # nothing
                 name = rng.choice(pool)
                 local = client.check_out(name)
                 with master.transaction():

@@ -1,17 +1,16 @@
 """The crash matrix: exhaustive truncation/flip recovery equivalence.
 
 A journal corpus is built through the real multi-user write path —
-checkpoints interleaved with write-ahead check-in deltas, including a
-rejected (aborted) check-in and a direct master mutation whose commit
-appends a write-ahead txn delta. While building, an **oracle** records
+checkpoints interleaved with check-in deltas, including a rejected
+check-in (which appends nothing) and a direct master mutation whose
+commit appends a write-ahead txn delta. While building, an **oracle** records
 the committed state at every append boundary. Then, for *every*
 truncation offset and *every* single-byte flip of the corpus file,
 ``JournaledDatabase.open`` must succeed (no unhandled error) and load
 exactly the prefix-consistent committed state the oracle predicts:
 
 * truncation at ``t`` → the state of the last append boundary ≤ ``t``
-  (a partial record is a torn tail; a clean-prefix delta whose abort
-  marker was cut off re-fails deterministically on replay);
+  (a partial record is a torn tail);
 * a flip in record ``j`` → base = newest intact image ≠ ``j``; replay
   the deltas after it, stopping at the corrupt gap (records past the
   first post-base kill are skipped for prefix consistency).
@@ -156,14 +155,13 @@ def corpus(tmp_path_factory):
     server.checkpoint()  # image 4 (supersedes the txn delta)
     snap()
 
-    # rejected check-in: delta seq 4 + abort marker; replay re-fails it
-    # deterministically even when the marker itself is lost
+    # rejected check-in: rolled back, so it appends nothing
     stale_local.get_object("B").set_value("from c4")
     with pytest.raises(Exception):
         stale.check_in()
     snap()
 
-    # committed check-in after the abort: create C   (delta seq 5)
+    # committed check-in after the rejection: create C   (delta seq 5)
     writer = server.connect("c5")
     local = writer.check_out()
     local.create_object("Item", "C").set_value("c1")
@@ -181,17 +179,17 @@ def corpus(tmp_path_factory):
     data = path.read_bytes()
     # sanity: the corpus has the advertised shape
     assert sum(1 for __, ___, kind in records if kind == "image") == 5
-    assert sum(1 for __, ___, kind in records if kind == "checkin") == 5
+    assert sum(1 for __, ___, kind in records if kind == "checkin") == 4
     assert sum(1 for __, ___, kind in records if kind == "txn") == 1
-    assert sum(1 for __, ___, kind in records if kind == "checkin.abort") == 1
+    assert sum(1 for __, ___, kind in records if kind == "checkin.abort") == 0
     assert records[-1][1] == len(data) == boundaries[-1][0]
     return Corpus(path, data, boundaries, records)
 
 
 @pytest.fixture(scope="module")
 def budget_corpus(tmp_path_factory):
-    """A journal with txn deltas, check-ins, an abort, and one real
-    byte-budget auto-compaction (checkpoint + rewrite) mid-stream."""
+    """A journal with txn deltas, check-ins, a rejected check-in, and one
+    real byte-budget auto-compaction (checkpoint + rewrite) mid-stream."""
     path = tmp_path_factory.mktemp("crash") / "budget.seed"
     record_file = RecordFile(path)
     server = SeedServer.open(path, schema=matrix_schema(), name="central")
@@ -250,7 +248,7 @@ def budget_corpus(tmp_path_factory):
     server.master.get_object("B").set_value("b3")  # txn delta seq 6
     snap()
 
-    # rejected check-in: delta seq 7 + abort marker
+    # rejected check-in: rolled back, so it appends nothing
     stale_local.get_object("B").set_value("from c4")
     with pytest.raises(Exception):
         stale.check_in()
@@ -259,7 +257,7 @@ def budget_corpus(tmp_path_factory):
     writer = server.connect("c5")
     local = writer.check_out()
     local.create_object("Item", "C").set_value("c1")
-    writer.check_in()  # delta seq 8
+    writer.check_in()  # delta seq 7
     snap()
 
     server.checkpoint()  # final image: any base flip stays loadable
@@ -273,12 +271,12 @@ def budget_corpus(tmp_path_factory):
     data = path.read_bytes()
     kinds = [kind for __, ___, kind in records]
     # sanity: the compacted base survives at the front, interleaved
-    # txn/check-in/abort records and a final checkpoint follow
+    # txn/check-in records and a final checkpoint follow
     assert kinds[0] == "image" and kinds[-1] == "image"
     assert kinds.count("image") == 2
     assert kinds.count("txn") == 1  # phase-3 direct mutation
-    assert kinds.count("checkin") == 3
-    assert kinds.count("checkin.abort") == 1
+    assert kinds.count("checkin") == 2
+    assert kinds.count("checkin.abort") == 0
     assert records[-1][1] == len(data) == boundaries[-1][0]
     return Corpus(path, data, boundaries, records)
 

@@ -371,25 +371,79 @@ class TestEngineRecovery:
         with pytest.raises(StorageError, match="no database file"):
             load_database(tmp_path / "nope.seed")
 
-    def test_compact_drops_aborted_delta_pairs(self, tmp_path):
-        path = tmp_path / "db.seed"
-        journal = JournaledDatabase.open(path, schema=tiny_schema(), name="t")
-        seq = journal.append_delta({"dummy": True})
-        journal.append_abort(seq)
-        journal.checkpoint()
-        journal.append_delta({"dummy": True})
-        assert journal.deltas() == 2
-        journal.compact()
-        # the aborted pair is gone; the post-checkpoint delta survives
-        assert journal.checkpoints() == 1
-        assert journal.deltas() == 1
-
     def test_save_load_roundtrip_still_works(self, tmp_path):
         db = SeedDatabase(tiny_schema(), "t")
         db.create_object("Item", "A").set_value("a")
         path = tmp_path / "db.seed"
         save_database(db, path)
         assert database_to_dict(load_database(path)) == database_to_dict(db)
+
+
+#: check-in records in the format of builds that journaled the package
+#: write-ahead and neutralized a failed apply with an abort marker
+LEGACY_RECORDS = {
+    "package": {
+        "kind": "checkin",
+        "seq": 90,
+        "delta": {
+            "created_objects": [
+                [
+                    1_000_001,
+                    {
+                        "class_name": "Item",
+                        "name": "Legacy",
+                        "index": None,
+                        "parent_oid": None,
+                        "value": None,
+                        "deleted": False,
+                        "is_pattern": False,
+                        "inherited_pattern_oids": [],
+                    },
+                ]
+            ],
+            "created_relationships": [],
+            "modified_objects": [],
+            "modified_relationships": [],
+        },
+    },
+    "abort": {"kind": "checkin.abort", "seq": 90},
+}
+
+
+class TestLegacyCheckInRecords:
+    """Old check-in records fail loudly: replaying a package would
+    re-decide it, and skipping one would drop an acknowledged check-in."""
+
+    def build(self, tmp_path, legacy, *, checkpoint_after):
+        path = tmp_path / "db.seed"
+        journal = JournaledDatabase.open(path, schema=tiny_schema(), name="t")
+        journal.db.create_object("Item", "Before")
+        RecordFile(path).append(LEGACY_RECORDS[legacy])
+        journal.db.create_object("Item", "After")
+        if checkpoint_after:
+            journal.checkpoint()
+        return path, journal
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("legacy", sorted(LEGACY_RECORDS))
+    def test_replay_window_record_raises(self, tmp_path, legacy, strict):
+        path, __ = self.build(tmp_path, legacy, checkpoint_after=False)
+        data = path.read_bytes()
+        with pytest.raises(StorageError, match="older build"):
+            load_database(path, strict=strict)
+        with pytest.raises(StorageError, match="older build"):
+            JournaledDatabase.open(path, strict=strict)
+        # a refused open neither repairs nor rewrites the journal
+        assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("legacy", sorted(LEGACY_RECORDS))
+    def test_record_before_the_base_is_superseded(self, tmp_path, legacy):
+        path, journal = self.build(tmp_path, legacy, checkpoint_after=True)
+        expected = database_to_dict(journal.db)
+        assert database_to_dict(load_database(path, strict=True)) == expected
+        reopened = JournaledDatabase.open(path, strict=True)
+        assert database_to_dict(reopened.db) == expected
+        assert reopened.db.find_object("Legacy") is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,33 @@
 """Fault-injected multi-user flows: rollback equivalence, leases, retry.
 
 The rollback tests reuse ``tests/test_bulk.py``'s equivalence style: a
-check-in that dies mid-apply must leave the master's canonical image
-*and* its index snapshots byte-identical to the pre-check-in state,
-with the client's copy and locks intact for a retry. Lease and retry
+check-in that dies mid-apply, or whose journal append fails, must
+leave the master's canonical image *and* its index snapshots
+byte-identical to the pre-check-in state, with the client's copy and
+locks intact for a retry. Lease and retry
 tests drive an injected fake clock — no wall-clock sleeps anywhere.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
-from repro.core import ConsistencyError, LockError, faults
-from repro.core.errors import CheckInError
+from repro.core import ConsistencyError, LockError, SchemaBuilder, faults
+from repro.core.errors import CheckInError, RecoveryWarning
 from repro.core.faults import FaultPlan, SimulatedCrash
-from repro.core.storage import JournaledDatabase, database_to_dict
+from repro.core.schema.attached import AttachedProcedure, ProcedureRegistry
+from repro.core.storage import (
+    GroupCommitPolicy,
+    JournaledDatabase,
+    database_to_dict,
+)
 from repro.multiuser import RetryPolicy, SeedServer
 from repro.spades import spades_schema
+
+#: a batch that only barriers drain: nothing flushes on its own
+GROUP_COMMIT = GroupCommitPolicy(max_txns=1000, max_bytes=1 << 30, max_delay_s=1e9)
 
 
 def canonical_image(db):
@@ -108,31 +119,63 @@ class TestCheckInFaults:
         self.assert_untouched(server, image_before, index_before)
         assert alice.has_copy
 
-    def test_journal_append_failure_precedes_apply(self, journaled):
-        # write-ahead means a failed append must leave the master
-        # untouched: nothing was applied yet
-        alice = journaled.connect("alice")
+    @pytest.mark.parametrize(
+        "policy, bulk",
+        [(None, False), (GROUP_COMMIT, False), (None, True)],
+        ids=["strict", "group", "strict-bulk"],
+    )
+    def test_journal_append_failure_rolls_back(self, tmp_path, policy, bulk):
+        # the check-in commit journals itself; when that append fails the
+        # commit is undone, so the master never holds an unjournaled
+        # check-in and the client can simply retry
+        server = SeedServer.open(
+            tmp_path / "central.seed", schema=spades_schema(), group_commit=policy
+        )
+        populate(server.master)
+        server.checkpoint()
+        # under group commit a direct commit sits in the buffer: the
+        # check-in's append would drain it in the same batch
+        server.master.get_object("Sensor.Description").set_value("buffered")
+        buffered = server.journal.pending_txns()
+        assert buffered == (0 if policy is None else 1)
+        alice = server.connect("alice")
         self.edit(alice)
-        image_before = canonical_image(journaled.master)
-        with FaultPlan().fail_io("checkin.journal.pre_append"):
+        image_before = canonical_image(server.master)
+        index_before = server.master.indexes.snapshot()
+        size_before = server.journal._file.size_bytes()
+        with FaultPlan().fail_io("txn.journal.pre_append"):
             with pytest.raises(OSError):
-                alice.check_in()
-        assert canonical_image(journaled.master) == image_before
-        assert journaled.journal.deltas() == 0
+                alice.check_in(bulk=bulk)
+        self.assert_untouched(server, image_before, index_before)
+        assert server.journal._file.size_bytes() == size_before
+        assert server.journal.pending_txns() == buffered
+        # the client keeps its copy and its locks...
         assert alice.has_copy
+        bob = server.connect("bob")
+        with pytest.raises(LockError, match="held by 'alice'"):
+            bob.check_out("AlarmHandler")
+        # ...so the retry lands the edit, durably, with the buffered commit
+        alice.check_in(bulk=bulk)
+        assert server.journal.pending_txns() == 0
+        reopened = JournaledDatabase.open(server.journal.path)
+        assert canonical_image(reopened.db) == canonical_image(server.master)
+        assert reopened.recovery.applied_deltas == 1
+        assert reopened.db.get_object("AlarmHandler.Description").value == "edited"
+        assert reopened.db.get_object("Sensor.Description").value == "buffered"
 
-    def test_mid_apply_fault_appends_abort_marker(self, journaled):
+    def test_mid_apply_fault_appends_nothing(self, journaled):
         alice = journaled.connect("alice")
         self.edit(alice)
+        size_before = journaled.journal._file.size_bytes()
         with FaultPlan().fail_io("checkin.apply.mid"):
             with pytest.raises(OSError):
                 alice.check_in()
-        # the write-ahead delta landed, then was neutralized
-        assert journaled.journal.deltas() == 1
+        # the commit never happened, so nothing reached the journal
+        assert journaled.journal._file.size_bytes() == size_before
+        assert journaled.journal.deltas() == 0
         # a reload replays to exactly the live (unchanged) master state
-        reopened = JournaledDatabase.open(journaled.journal._file.path)
+        reopened = JournaledDatabase.open(journaled.journal.path)
         assert canonical_image(reopened.db) == canonical_image(journaled.master)
-        assert reopened.recovery.aborted_deltas == 1
         assert reopened.recovery.applied_deltas == 0
 
     def test_successful_checkin_is_durable_without_checkpoint(self, journaled):
@@ -161,12 +204,60 @@ class TestCheckInFaults:
         alice = journaled.connect("alice")
         local = alice.check_out("Sensor")
         local.create_object("Action", "AlarmHandler")  # exists centrally!
+        size_before = journaled.journal._file.size_bytes()
         with pytest.raises(ConsistencyError):
             alice.check_in()
-        # delta + abort marker: replay skips the rejected check-in
-        reopened = JournaledDatabase.open(journaled.journal._file.path)
+        # a rejected check-in rolls back before its commit: no record
+        assert journaled.journal._file.size_bytes() == size_before
+        reopened = JournaledDatabase.open(journaled.journal.path)
         assert canonical_image(reopened.db) == canonical_image(journaled.master)
-        assert reopened.recovery.aborted_deltas == 1
+        assert reopened.recovery.applied_deltas == 0
+
+    def test_checkin_survives_reopen_under_stricter_guard(self, tmp_path):
+        # replay upserts committed states; it never re-runs the attached
+        # procedures that accepted them, so a check-in acknowledged
+        # under one procedure body survives a reopen under another
+        permissive = ProcedureRegistry()
+        permissive.register(AttachedProcedure("guard", lambda ctx: None))
+        schema = (
+            SchemaBuilder("guarded")
+            .entity_class("Item", sort="STRING")
+            .attach("Item", "guard", registry=permissive)
+            .build()
+        )
+        path = tmp_path / "guarded.seed"
+        server = SeedServer.open(path, schema=schema)
+        server.master.create_object("Item", "A").set_value("old")
+        server.checkpoint()
+        alice = server.connect("alice")
+        alice.check_out("A").get_object("A").set_value("checked in")
+        alice.check_in()
+        strict = ProcedureRegistry()
+        strict.register(AttachedProcedure("guard", lambda ctx: ["vetoed"]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RecoveryWarning)
+            reopened = JournaledDatabase.open(path, registry=strict)
+        assert reopened.db.get_object("A").value == "checked in"
+        assert reopened.recovery.applied_deltas == 1
+        assert reopened.recovery.aborted_deltas == 0
+
+    def test_budget_failure_after_durable_checkin_keeps_it(self, tmp_path):
+        server = SeedServer.open(
+            tmp_path / "central.seed", schema=spades_schema(), byte_budget=1
+        )
+        populate(server.master)
+        alice = server.connect("alice")
+        self.edit(alice)
+        # the check-in's record is durable before enforcement compacts:
+        # an I/O fault in the rewrite is reported, the commit stands
+        with FaultPlan().fail_io("journal.compact.rewrite"):
+            with pytest.warns(RecoveryWarning, match="byte-budget"):
+                alice.check_in()
+        assert not alice.has_copy
+        value = server.master.get_object("AlarmHandler.Description").value
+        assert value == "edited"
+        reopened = JournaledDatabase.open(server.journal.path)
+        assert canonical_image(reopened.db) == canonical_image(server.master)
 
 
 # ---------------------------------------------------------------------------

@@ -66,24 +66,40 @@ class TestTxnSink:
             pass  # nothing touched
         assert journal.txn_deltas() == 0
 
-    def test_sink_failure_propagates_commit_stays_live(self, journal):
-        with FaultPlan().fail_io("txn.journal.pre_append"):
+    def test_sink_failure_rolls_back_commit(self, journal):
+        journal.db.create_object("Item", "Kept").set_value("before")
+        image_before = database_to_dict(journal.db)
+        index_before = journal.db.indexes.snapshot()
+        plan = FaultPlan()
+        for hit in (1, 2, 3):
+            plan.fail_io("txn.journal.pre_append", at=hit)
+        with plan:
             with pytest.raises(OSError, match="injected"):
                 journal.db.create_object("Item", "Unlogged")
-        # the commit itself is not unwound: the object is live in
-        # memory (only its durability is lost until the next append)
-        assert journal.db.find_object("Unlogged") is not None
-        journal.checkpoint()
+            with pytest.raises(OSError, match="injected"):
+                with journal.db.transaction():
+                    journal.db.get_object("Kept").set_value("after")
+            with pytest.raises(OSError, match="injected"):
+                with journal.db.bulk():
+                    journal.db.create_object("Item", "Batched")
+        # a commit the journal could not take is undone at every commit
+        # point: implicit operation, transaction, and bulk batch
+        assert database_to_dict(journal.db) == image_before
+        assert journal.db.indexes.snapshot() == index_before
+        assert journal.txn_deltas() == 2
         reopened = JournaledDatabase.open(journal.path)
-        assert reopened.db.find_object("Unlogged") is not None
+        assert database_to_dict(reopened.db) == image_before
 
-    def test_suspension_is_reentrant(self, journal):
-        with journal.suspended_txn_sink():
-            with journal.suspended_txn_sink():
-                journal.db.create_object("Item", "Quiet")
-            journal.db.create_object("Item", "StillQuiet")
-        journal.db.create_object("Item", "Loud")
-        assert journal.txn_deltas() == 1
+    def test_check_in_scope_is_reentrant(self, journal):
+        with journal.check_in_scope():
+            with journal.check_in_scope():
+                journal.db.create_object("Item", "Inner")
+            journal.db.create_object("Item", "Outer")
+        journal.db.create_object("Item", "Direct")
+        assert record_kinds(journal.path) == ["image", "checkin", "checkin", "txn"]
+        reopened = JournaledDatabase.open(journal.path)
+        assert reopened.recovery.applied_deltas == 2
+        assert reopened.recovery.applied_txn_deltas == 1
 
 
 class TestCheckInInterplay:
@@ -95,8 +111,7 @@ class TestCheckInInterplay:
         local = alice.check_out()
         local.create_object("Item", "FromAlice")
         alice.check_in()
-        # the check-in delta is the journal record; the sink stayed
-        # suspended while the package applied to the master
+        # the check-in's single commit is its one journal record
         assert server.journal.txn_deltas() == 0
         kinds = record_kinds(server.journal.path)
         assert kinds.count("checkin") == 1
@@ -171,6 +186,21 @@ class TestByteBudget:
             assert server.journal._file.size_bytes() < 2 * 6_000
         reopened = JournaledDatabase.open(server.journal.path)
         assert reopened.db.find_object("W11") is not None
+
+    def test_budget_failure_after_durable_commit_keeps_it(self, tmp_path):
+        path = tmp_path / "bounded.journal"
+        journal = JournaledDatabase.open(
+            path, schema=item_schema(), name="b", byte_budget=1
+        )
+        with FaultPlan().fail_io("journal.compact.rewrite"):
+            with pytest.warns(RecoveryWarning, match="byte-budget"):
+                journal.db.create_object("Item", "Kept")
+        assert journal.db.find_object("Kept") is not None
+        reopened = JournaledDatabase.open(path)
+        assert reopened.db.find_object("Kept") is not None
+        # the next commit retries the enforcement and compacts
+        journal.db.create_object("Item", "Next")
+        assert record_kinds(path) == ["image"]
 
     def test_maintain_enforces_policy_budget(self, tmp_path):
         server = SeedServer.open(
